@@ -62,14 +62,18 @@ bench-json:
 	$(GO) run ./cmd/benchrunner -json $(BENCH_JSON)
 
 # Bounded fuzz exploration of the encoded-key machinery the spill path leans
-# on (join/group keys, ORDER BY keys, spill batch round-trip). The seed
-# corpora already run inside `make test`; this adds a few seconds of
-# coverage-guided search per target on every push.
+# on (join/group keys, ORDER BY keys, spill batch round-trip), of corrupt
+# colfile bytes (errors, never panics, and no poisoned pooled codec), and of
+# the SQL parser on arbitrary scripts. The seed corpora already run inside
+# `make test`; this adds a few seconds of coverage-guided search per target
+# on every push.
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz '^FuzzAppendKey$$' -fuzztime 5s ./internal/colfile
 	$(GO) test -run NONE -fuzz '^FuzzAppendSortKey$$' -fuzztime 5s ./internal/colfile
 	$(GO) test -run NONE -fuzz '^FuzzBatchSpillRoundTrip$$' -fuzztime 5s ./internal/colfile
+	$(GO) test -run NONE -fuzz '^FuzzColfileCorrupt$$' -fuzztime 5s ./internal/colfile
 	$(GO) test -run NONE -fuzz '^FuzzKernelEquivalence$$' -fuzztime 5s ./internal/exec
+	$(GO) test -run NONE -fuzz '^FuzzParseScript$$' -fuzztime 5s ./internal/sql
 
 # End-to-end lifecycle gate for the multi-session HTTP front end: boots
 # polaris-server on an ephemeral port, health-checks it, runs DDL + DML + a

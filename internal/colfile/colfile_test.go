@@ -180,7 +180,7 @@ func TestDictionaryEncodingChosen(t *testing.T) {
 	if chooseEncoding(v) != encDict {
 		t.Fatal("expected dictionary encoding for low-cardinality strings")
 	}
-	data, err := encodeChunk(v)
+	data, err := encodeToBytes(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestRLEEncodingChosen(t *testing.T) {
 	if chooseEncoding(v) != encRLE {
 		t.Fatal("expected RLE for runny ints")
 	}
-	data, _ := encodeChunk(v)
+	data, _ := encodeToBytes(v)
 	got, err := decodeChunk(data, Int64, 1000)
 	if err != nil {
 		t.Fatal(err)
@@ -350,7 +350,7 @@ func TestPropertyIntColumnRoundTrip(t *testing.T) {
 	f := func(xs []int64) bool {
 		v := NewVec(Int64)
 		v.Ints = xs
-		data, err := encodeChunk(v)
+		data, err := encodeToBytes(v)
 		if err != nil {
 			return false
 		}
@@ -377,7 +377,7 @@ func TestPropertyStringColumnRoundTrip(t *testing.T) {
 	f := func(xs []string) bool {
 		v := NewVec(String)
 		v.Strs = xs
-		data, err := encodeChunk(v)
+		data, err := encodeToBytes(v)
 		if err != nil {
 			return false
 		}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 )
 
 // Column-chunk encodings. The writer picks automatically: dictionary when a
@@ -19,11 +20,69 @@ const (
 	encRLE
 )
 
-// encodeChunk serializes one column vector to bytes:
+// Chunks compress and decompress through pooled codec state. A
+// flate.Writer carries ~1 MB of compressor tables and a reader a 32 KB
+// window; building them per chunk costs more than encoding a typical chunk.
+// Reset makes a pooled writer equivalent to a new one, so chunk bytes do not
+// depend on which pooled instance produced them.
+var (
+	chunkEncoders = sync.Pool{New: func() any {
+		fw, _ := flate.NewWriter(nil, flate.BestSpeed) // errors only on a bad level
+		return &chunkEncoder{fw: fw}
+	}}
+	chunkDecoders = sync.Pool{New: func() any {
+		return &chunkDecoder{fr: flate.NewReader(nil)}
+	}}
+)
+
+// chunkEncoder is the pooled per-encode state: the uncompressed scratch and
+// the flate writer.
+type chunkEncoder struct {
+	raw bytes.Buffer
+	fw  *flate.Writer
+}
+
+// chunkDecoder is the pooled per-decode state: the compressed-input reader,
+// the flate reader over it, and the decompressed scratch. Decoded vectors
+// never alias raw (every string is copied out), so the scratch is reusable.
+type chunkDecoder struct {
+	src bytes.Reader
+	fr  io.ReadCloser
+	raw bytes.Buffer
+}
+
+// maxPooledBuf caps the scratch a pooled codec keeps, so one huge bulk-load
+// chunk does not stay resident behind many small ones.
+const maxPooledBuf = 1 << 20
+
+// resetScratch empties b for reuse, dropping its memory when oversized.
+func resetScratch(b *bytes.Buffer) {
+	if b.Cap() > maxPooledBuf {
+		*b = bytes.Buffer{}
+		return
+	}
+	b.Reset()
+}
+
+// encodeChunk appends one column vector to dst:
 //
-//	[encoding byte][null section][payload], then flate-compressed.
-func encodeChunk(v *Vec) ([]byte, error) {
-	raw := &bytes.Buffer{}
+//	[encoding byte][null section][payload], flate-compressed.
+func encodeChunk(dst *bytes.Buffer, v *Vec) error {
+	e := chunkEncoders.Get().(*chunkEncoder)
+	defer func() {
+		resetScratch(&e.raw)
+		chunkEncoders.Put(e)
+	}()
+	encodeRaw(&e.raw, v)
+	e.fw.Reset(dst)
+	if _, err := e.fw.Write(e.raw.Bytes()); err != nil {
+		return err
+	}
+	return e.fw.Close()
+}
+
+// encodeRaw writes the uncompressed chunk encoding of v to raw.
+func encodeRaw(raw *bytes.Buffer, v *Vec) {
 	enc := chooseEncoding(v)
 	raw.WriteByte(enc)
 	writeNulls(raw, v)
@@ -35,27 +94,23 @@ func encodeChunk(v *Vec) ([]byte, error) {
 	case encRLE:
 		encodeRLE(raw, v)
 	}
-	comp := &bytes.Buffer{}
-	fw, err := flate.NewWriter(comp, flate.BestSpeed)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := fw.Write(raw.Bytes()); err != nil {
-		return nil, err
-	}
-	if err := fw.Close(); err != nil {
-		return nil, err
-	}
-	return comp.Bytes(), nil
 }
 
 // decodeChunk reverses encodeChunk. n is the row count recorded in the footer.
 func decodeChunk(data []byte, t DataType, n int) (*Vec, error) {
-	fr := flate.NewReader(bytes.NewReader(data))
-	raw, err := io.ReadAll(fr)
-	if err != nil {
+	d := chunkDecoders.Get().(*chunkDecoder)
+	defer func() {
+		resetScratch(&d.raw)
+		chunkDecoders.Put(d)
+	}()
+	d.src.Reset(data)
+	if err := d.fr.(flate.Resetter).Reset(&d.src, nil); err != nil {
 		return nil, fmt.Errorf("colfile: decompress chunk: %w", err)
 	}
+	if _, err := d.raw.ReadFrom(d.fr); err != nil {
+		return nil, fmt.Errorf("colfile: decompress chunk: %w", err)
+	}
+	raw := d.raw.Bytes()
 	if len(raw) == 0 {
 		return nil, errors.New("colfile: empty chunk")
 	}
@@ -65,15 +120,15 @@ func decodeChunk(data []byte, t DataType, n int) (*Vec, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch raw[0] {
-	case encPlain:
+	switch {
+	case raw[0] == encPlain:
 		err = decodePlain(buf, v, n)
-	case encDict:
+	case raw[0] == encDict && t == String:
 		err = decodeDict(buf, v, n)
-	case encRLE:
+	case raw[0] == encRLE && t == Int64:
 		err = decodeRLE(buf, v, n)
 	default:
-		return nil, fmt.Errorf("colfile: unknown encoding %d", raw[0])
+		return nil, fmt.Errorf("colfile: encoding %d invalid for %v column", raw[0], t)
 	}
 	if err != nil {
 		return nil, err
@@ -147,7 +202,13 @@ func readNulls(r *bytes.Reader, n int) ([]bool, error) {
 	if flag == 0 {
 		return nil, nil
 	}
-	nb := (n + 7) / 8
+	nb := n / 8
+	if n%8 != 0 {
+		nb++
+	}
+	if nb > r.Len() {
+		return nil, fmt.Errorf("colfile: null bitmap of %d rows exceeds %d chunk bytes", n, r.Len())
+	}
 	bits := make([]byte, nb)
 	if _, err := io.ReadFull(r, bits); err != nil {
 		return nil, fmt.Errorf("colfile: null bitmap: %w", err)
@@ -191,7 +252,23 @@ func encodePlain(w *bytes.Buffer, v *Vec) {
 	}
 }
 
+// fitRows rejects a row count the remaining chunk bytes cannot hold at
+// minBytes bytes per row, before anything is sized from it.
+func fitRows(r *bytes.Reader, n, minBytes int) error {
+	if n > r.Len()/minBytes {
+		return fmt.Errorf("colfile: %d rows exceed %d chunk bytes", n, r.Len())
+	}
+	return nil
+}
+
 func decodePlain(r *bytes.Reader, v *Vec, n int) error {
+	minBytes := 1 // varint, length prefix or bool byte
+	if v.Type == Float64 {
+		minBytes = 8
+	}
+	if err := fitRows(r, n, minBytes); err != nil {
+		return err
+	}
 	switch v.Type {
 	case Int64:
 		v.Ints = make([]int64, n)
@@ -217,6 +294,9 @@ func decodePlain(r *bytes.Reader, v *Vec, n int) error {
 			l, err := binary.ReadUvarint(r)
 			if err != nil {
 				return fmt.Errorf("colfile: string len %d: %w", i, err)
+			}
+			if l > uint64(r.Len()) {
+				return fmt.Errorf("colfile: string len %d exceeds %d chunk bytes", l, r.Len())
 			}
 			b := make([]byte, l)
 			if _, err := io.ReadFull(r, b); err != nil {
@@ -265,17 +345,26 @@ func decodeDict(r *bytes.Reader, v *Vec, n int) error {
 	if err != nil {
 		return fmt.Errorf("colfile: dict size: %w", err)
 	}
+	if dn > uint64(r.Len()) {
+		return fmt.Errorf("colfile: dict size %d exceeds %d chunk bytes", dn, r.Len())
+	}
 	dict := make([]string, dn)
 	for i := range dict {
 		l, err := binary.ReadUvarint(r)
 		if err != nil {
 			return fmt.Errorf("colfile: dict entry len %d: %w", i, err)
 		}
+		if l > uint64(r.Len()) {
+			return fmt.Errorf("colfile: dict entry len %d exceeds %d chunk bytes", l, r.Len())
+		}
 		b := make([]byte, l)
 		if _, err := io.ReadFull(r, b); err != nil {
 			return fmt.Errorf("colfile: dict entry %d: %w", i, err)
 		}
 		dict[i] = string(b)
+	}
+	if err := fitRows(r, n, 1); err != nil {
+		return err
 	}
 	v.Strs = make([]string, n)
 	for i := 0; i < n; i++ {
@@ -308,8 +397,23 @@ func encodeRLE(w *bytes.Buffer, v *Vec) {
 }
 
 func decodeRLE(r *bytes.Reader, v *Vec, n int) error {
+	// Runs let few bytes stand for many rows, so the column is sized only
+	// after a first pass has checked that the runs add up to exactly n.
+	scan := *r
+	if err := forEachRun(&scan, n, func(int64, int) {}); err != nil {
+		return err
+	}
 	v.Ints = make([]int64, 0, n)
-	for len(v.Ints) < n {
+	return forEachRun(r, n, func(val int64, run int) {
+		for ; run > 0; run-- {
+			v.Ints = append(v.Ints, val)
+		}
+	})
+}
+
+// forEachRun reads (value, run) pairs covering exactly n rows.
+func forEachRun(r *bytes.Reader, n int, emit func(val int64, run int)) error {
+	for total := 0; total < n; {
 		val, err := binary.ReadVarint(r)
 		if err != nil {
 			return fmt.Errorf("colfile: rle value: %w", err)
@@ -318,12 +422,11 @@ func decodeRLE(r *bytes.Reader, v *Vec, n int) error {
 		if err != nil {
 			return fmt.Errorf("colfile: rle run: %w", err)
 		}
-		if run == 0 || len(v.Ints)+int(run) > n {
+		if run == 0 || run > uint64(n-total) {
 			return fmt.Errorf("colfile: rle run %d overflows %d rows", run, n)
 		}
-		for k := uint64(0); k < run; k++ {
-			v.Ints = append(v.Ints, val)
-		}
+		emit(val, int(run))
+		total += int(run)
 	}
 	return nil
 }

@@ -14,7 +14,10 @@ import (
 //	[chunk bytes ...][footer JSON][footer length: 8 bytes LE][magic: 4 bytes]
 //
 // The footer records the schema, each row group's per-column chunk offsets,
-// and zone-map statistics.
+// and zone-map statistics. It carries no NDV sketches: the Writer hands
+// those to the manifest action of the file it seals (Writer.Sketches), which
+// is where the planner reads them, so a file open never parses them. Footers
+// of files sealed with a "sketches" entry still parse; the entry is ignored.
 var fileMagic = []byte("PCF1")
 
 // ColStats holds the zone map for one column chunk. Min/Max are stored as the
@@ -49,10 +52,6 @@ type footer struct {
 	// SortedBy names the column the writer declared rows ordered by within
 	// each row group (Z-order / clustering stand-in); empty if unsorted.
 	SortedBy string `json:"sorted_by,omitempty"`
-	// Sketches holds one per-column statistics sketch (row/NULL counts,
-	// min/max, NDV bitmap) for the whole file, schema-aligned. Absent in
-	// files sealed before sketches existed — readers must tolerate nil.
-	Sketches []ColSketch `json:"sketches,omitempty"`
 }
 
 // Writer builds a columnar file in memory.
@@ -61,7 +60,11 @@ type Writer struct {
 	sortedBy string
 	buf      bytes.Buffer
 	meta     footer
-	finished bool
+	// sketches accumulates one file-level ColSketch per column unless
+	// noSketches is set (spill and exchange files, which no planner reads).
+	sketches   []ColSketch
+	noSketches bool
+	finished   bool
 }
 
 // NewWriter creates a writer for the schema.
@@ -87,25 +90,26 @@ func (w *Writer) WriteBatch(b *Batch) error {
 	if n == 0 {
 		return nil
 	}
-	if w.meta.Sketches == nil {
-		w.meta.Sketches = make([]ColSketch, len(w.schema))
+	if w.sketches == nil && !w.noSketches {
+		w.sketches = make([]ColSketch, len(w.schema))
 	}
 	rg := rowGroupMeta{NumRows: n, Chunks: make([]chunkMeta, len(b.Cols))}
 	for i, col := range b.Cols {
 		if col.Len() != n {
 			return fmt.Errorf("colfile: column %d has %d rows, batch has %d", i, col.Len(), n)
 		}
-		w.meta.Sketches[i].Observe(col)
-		data, err := encodeChunk(col)
-		if err != nil {
+		if w.sketches != nil {
+			w.sketches[i].Observe(col)
+		}
+		off := int64(w.buf.Len())
+		if err := encodeChunk(&w.buf, col); err != nil {
 			return err
 		}
 		rg.Chunks[i] = chunkMeta{
-			Offset: int64(w.buf.Len()),
-			Length: int64(len(data)),
+			Offset: off,
+			Length: int64(w.buf.Len()) - off,
 			Stats:  computeStats(col),
 		}
-		w.buf.Write(data)
 	}
 	w.meta.RowGroups = append(w.meta.RowGroups, rg)
 	w.meta.NumRows += int64(n)
@@ -136,8 +140,9 @@ func (w *Writer) NumRows() int64 { return w.meta.NumRows }
 
 // Sketches returns the per-column statistics sketches accumulated so far
 // (schema-aligned; nil before the first batch). Write paths attach these to
-// the manifest action after sealing so table stats stay fresh under DML.
-func (w *Writer) Sketches() []ColSketch { return w.meta.Sketches }
+// the manifest action after sealing so table stats stay fresh under DML;
+// the sealed file itself does not carry them.
+func (w *Writer) Sketches() []ColSketch { return w.sketches }
 
 func computeStats(v *Vec) ColStats {
 	var st ColStats
@@ -198,21 +203,56 @@ type Reader struct {
 	meta footer
 }
 
-// OpenReader parses the footer of a sealed file.
+// OpenReader parses and validates the footer of a sealed file. A footer
+// that points outside the chunk region, disagrees with its schema, or
+// claims more rows than it records fails here, so reads never index past
+// what the file holds.
 func OpenReader(data []byte) (*Reader, error) {
 	if len(data) < 12 || !bytes.Equal(data[len(data)-4:], fileMagic) {
 		return nil, errors.New("colfile: bad magic")
 	}
 	flen := binary.LittleEndian.Uint64(data[len(data)-12 : len(data)-4])
-	fstart := uint64(len(data)) - 12 - flen
 	if flen > uint64(len(data))-12 {
 		return nil, errors.New("colfile: footer length out of range")
 	}
+	fstart := uint64(len(data)) - 12 - flen
 	var meta footer
 	if err := json.Unmarshal(data[fstart:fstart+flen], &meta); err != nil {
 		return nil, fmt.Errorf("colfile: parse footer: %w", err)
 	}
+	if err := meta.validate(int64(fstart)); err != nil {
+		return nil, err
+	}
 	return &Reader{data: data, meta: meta}, nil
+}
+
+// validate checks the footer's structure against the chunkEnd bytes that
+// precede it.
+func (m *footer) validate(chunkEnd int64) error {
+	for _, f := range m.Schema {
+		if f.Type > Bool {
+			return fmt.Errorf("colfile: column %q has unknown type %d", f.Name, f.Type)
+		}
+	}
+	var rows int64
+	for g, rg := range m.RowGroups {
+		if rg.NumRows < 0 {
+			return fmt.Errorf("colfile: row group %d has %d rows", g, rg.NumRows)
+		}
+		if len(rg.Chunks) != len(m.Schema) {
+			return fmt.Errorf("colfile: row group %d has %d chunks for %d columns", g, len(rg.Chunks), len(m.Schema))
+		}
+		for c, ch := range rg.Chunks {
+			if ch.Offset < 0 || ch.Length < 0 || ch.Length > chunkEnd-ch.Offset {
+				return fmt.Errorf("colfile: row group %d column %d chunk [%d,+%d) outside %d chunk bytes", g, c, ch.Offset, ch.Length, chunkEnd)
+			}
+		}
+		rows += int64(rg.NumRows)
+	}
+	if rows != m.NumRows {
+		return fmt.Errorf("colfile: row groups hold %d rows, footer claims %d", rows, m.NumRows)
+	}
+	return nil
 }
 
 // Schema returns the file schema.
@@ -230,10 +270,6 @@ func (r *Reader) RowGroupRows(g int) int { return r.meta.RowGroups[g].NumRows }
 // SortedBy returns the clustering column declared by the writer.
 func (r *Reader) SortedBy() string { return r.meta.SortedBy }
 
-// Sketches returns the file-level per-column statistics sketches, or nil for
-// files sealed before sketches existed.
-func (r *Reader) Sketches() []ColSketch { return r.meta.Sketches }
-
 // Stats returns the zone map for column c of row group g.
 func (r *Reader) Stats(g, c int) ColStats { return r.meta.RowGroups[g].Chunks[c].Stats }
 
@@ -247,9 +283,6 @@ func (r *Reader) ReadColumn(g, c int) (*Vec, error) {
 		return nil, fmt.Errorf("colfile: column %d out of range", c)
 	}
 	ch := rg.Chunks[c]
-	if ch.Offset+ch.Length > int64(len(r.data)) {
-		return nil, errors.New("colfile: chunk out of file bounds")
-	}
 	return decodeChunk(r.data[ch.Offset:ch.Offset+ch.Length], r.meta.Schema[c].Type, rg.NumRows)
 }
 

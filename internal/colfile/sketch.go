@@ -5,9 +5,11 @@ import "math"
 // ColSketch is the per-column statistics sketch a Writer computes while a
 // file is sealed: row/NULL counts, file-level min/max, and a fixed-size
 // linear-counting bitmap estimating the number of distinct values. Sketches
-// ride in the file footer and on the manifest entry of every data file, so
-// table-level statistics are a pure fold over the live file entries — DML
-// keeps them fresh with no separate ANALYZE pass.
+// ride on the manifest entry of every data file (Writer.Sketches feeds the
+// Add action; the file footer does not repeat them), so table-level
+// statistics are a pure fold over the live file entries — DML keeps them
+// fresh with no separate ANALYZE pass. Spill and exchange files, which never
+// reach a manifest, compute none.
 //
 // The NDV bitmap is mergeable by bitwise OR (the sketch of a union of files
 // is the OR of their bitmaps), which is exactly how table-level NDV is

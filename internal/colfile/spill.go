@@ -5,13 +5,15 @@ package colfile
 // A spill file is an ordinary sealed colfile holding one row group, so the
 // spill path reuses the same encodings, zone maps and footer validation the
 // durable storage path uses — a corrupt spill file fails OpenReader exactly
-// like a corrupt data file would.
+// like a corrupt data file would. Spill files carry no NDV sketches: they
+// never reach a manifest, so nothing would read them.
 
 // MarshalBatch serializes a batch as a single-row-group colfile. An empty
 // batch yields a valid file with zero row groups (UnmarshalBatch returns an
 // empty batch with the same schema).
 func MarshalBatch(b *Batch) ([]byte, error) {
 	w := NewWriter(b.Schema)
+	w.noSketches = true
 	if err := w.WriteBatch(b); err != nil {
 		return nil, err
 	}

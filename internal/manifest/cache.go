@@ -16,10 +16,15 @@ type SnapshotCache struct {
 }
 
 type cachedTable struct {
-	// states holds reconstructed snapshots keyed by sequence; the latest is
-	// advanced incrementally, older ones serve time-travel reads.
+	// states holds cached snapshots keyed by sequence: those readers
+	// reconstructed and Put, which serve time-travel reads, plus at most one
+	// that Advance produced.
 	states map[int64]*TableState
 	latest int64
+	// advanced reports that states[latest] was produced by Advance. No
+	// caller holds that state (Get hands out clones), so the next Advance
+	// rolls it forward in place instead of cloning it.
+	advanced bool
 }
 
 // NewSnapshotCache returns an empty cache.
@@ -58,14 +63,18 @@ func (c *SnapshotCache) Put(tableID int64, s *TableState) {
 		c.tables[tableID] = t
 	}
 	t.states[s.LastSeq] = s.Clone()
-	if s.LastSeq > t.latest {
+	if s.LastSeq >= t.latest {
 		t.latest = s.LastSeq
+		t.advanced = false
 	}
 }
 
 // Advance applies a newly committed manifest to the cached latest snapshot,
 // keeping the cache warm without a full replay. It is a no-op when the table
-// is not cached or the sequence is not the immediate successor path.
+// is not cached or the sequence is not the immediate successor path. A
+// latest snapshot that Advance itself produced is rolled forward in place,
+// so a stream of commits keeps one advanced state rather than one per
+// commit; a snapshot a reader Put is cloned first and stays cached.
 func (c *SnapshotCache) Advance(tableID, seq int64, actions []Action) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -77,7 +86,12 @@ func (c *SnapshotCache) Advance(tableID, seq int64, actions []Action) {
 	if !ok || seq <= t.latest {
 		return
 	}
-	next := base.Clone()
+	next := base
+	if t.advanced {
+		delete(t.states, t.latest)
+	} else {
+		next = base.Clone()
+	}
 	if err := next.Apply(seq, actions); err != nil {
 		// A replay error means the cache is stale relative to storage; drop
 		// the table and force reconstruction.
@@ -86,6 +100,7 @@ func (c *SnapshotCache) Advance(tableID, seq int64, actions []Action) {
 	}
 	t.states[seq] = next
 	t.latest = seq
+	t.advanced = true
 }
 
 // Invalidate drops all cached snapshots for a table.

@@ -312,6 +312,44 @@ func TestSnapshotCacheAdvance(t *testing.T) {
 	}
 }
 
+func TestSnapshotCacheAdvanceRetainsConstantStates(t *testing.T) {
+	c := NewSnapshotCache()
+	s := NewTableState()
+	must(t, s.Apply(1, []Action{addData("a", 10)}))
+	c.Put(7, s)
+	var held *TableState
+	const commits = 200
+	for seq := int64(2); seq <= commits+1; seq++ {
+		c.Advance(7, seq, []Action{addData(fmt.Sprintf("f%d", seq), 1)})
+		if seq == 50 {
+			held = c.Get(7, -1)
+		}
+	}
+	if n := len(c.tables[7].states); n > 2 {
+		t.Fatalf("%d Advance calls left %d cached states, want the Put one plus one advanced", commits, n)
+	}
+	if latest := c.Get(7, -1); latest == nil || latest.LastSeq != commits+1 || latest.TotalRows() != 10+commits {
+		t.Fatalf("latest = %+v", latest)
+	}
+	if put := c.Get(7, 1); put == nil || put.TotalRows() != 10 {
+		t.Fatalf("reader-Put snapshot = %v, want it still cached", put)
+	}
+	if mid := c.Get(7, 100); mid != nil {
+		t.Fatal("intermediate advanced snapshot still cached")
+	}
+	// Advancing in place must not reach a state a reader already holds.
+	if held.LastSeq != 50 || held.TotalRows() != 10+49 {
+		t.Fatalf("held snapshot mutated: seq %d rows %d", held.LastSeq, held.TotalRows())
+	}
+	// A reader's Put at the latest sequence makes the next Advance clone it.
+	c.Put(7, held)
+	c.Put(7, c.Get(7, -1))
+	c.Advance(7, commits+2, []Action{addData("last", 1)})
+	if again := c.Get(7, commits+1); again == nil || again.TotalRows() != 10+commits {
+		t.Fatalf("Put snapshot at seq %d = %v, want kept after Advance", commits+1, again)
+	}
+}
+
 func TestSnapshotCacheTrimAndInvalidate(t *testing.T) {
 	c := NewSnapshotCache()
 	for seq := int64(1); seq <= 5; seq++ {

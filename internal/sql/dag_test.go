@@ -302,7 +302,7 @@ func TestDAGSurvivesNodeDeath(t *testing.T) {
 			if armed && !killed {
 				killed = true
 				node.Kill()
-				return fmt.Errorf("node %v lost mid-task", node)
+				return fmt.Errorf("node %d lost mid-task", node.ID)
 			}
 			return nil
 		}

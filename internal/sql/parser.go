@@ -508,7 +508,11 @@ func (p *parser) createStmt() (Statement, error) {
 			return nil, err
 		}
 		for {
-			key := strings.ToUpper(p.cur().text)
+			kt := p.cur()
+			if kt.kind != tokIdent && kt.kind != tokKeyword {
+				return nil, fmt.Errorf("sql: expected table option, got %q at %d", kt.text, kt.pos)
+			}
+			key := strings.ToUpper(kt.text)
 			p.i++
 			if _, err := p.expect(tokSymbol, "="); err != nil {
 				return nil, err

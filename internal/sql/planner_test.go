@@ -1,8 +1,11 @@
 package sql
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"polaris/internal/manifest"
 )
 
 // statsFor folds the live-file sketches of a table inside a throwaway
@@ -61,6 +64,21 @@ func TestTableStatsFollowDML(t *testing.T) {
 	sk, _ = ts.colSketch("k")
 	if sk.Stats.MaxInt == nil || *sk.Stats.MaxInt != 101 {
 		t.Fatalf("k max after insert = %v, want 101", sk.Stats.MaxInt)
+	}
+
+	// Sketches live only on manifest entries (file footers do not carry
+	// them), so they must survive a checkpoint round trip: rebuilding the
+	// snapshot from the checkpoint file with a cold cache yields the same
+	// planner stats.
+	mustExec(t, s, `CHECKPOINT TABLE st`)
+	engineOf(s).Cache = manifest.NewSnapshotCache()
+	cold := statsFor(t, s, "st")
+	if hits, misses := engineOf(s).Cache.Stats(); hits != 0 || misses == 0 {
+		t.Fatalf("cache hits=%d misses=%d, want a cold reconstruction", hits, misses)
+	}
+	if !reflect.DeepEqual(cold, ts) {
+		t.Fatalf("stats after checkpoint + cold cache: rows %d, %d column sketches; want rows %d, %d identical sketches",
+			cold.rows, len(cold.cols), ts.rows, len(ts.cols))
 	}
 }
 
