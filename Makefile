@@ -8,7 +8,7 @@ GO ?= go
 #   make bench-json BENCH_JSON=BENCH_PR5.json
 BENCH_JSON ?= BENCH_PR9.json
 
-.PHONY: build lint test race bench-smoke bench-json fuzz-smoke server-smoke docs ci
+.PHONY: build lint test race bench-smoke bench-json fuzz-smoke server-smoke perfbench-smoke docs ci
 
 build:
 	$(GO) build ./...
@@ -82,6 +82,13 @@ fuzz-smoke:
 server-smoke:
 	$(GO) run ./cmd/polaris-server -smoke
 
+# The end-to-end benchmark's own tests (all three workloads at tiny size,
+# correctness checks, metric names checked against BENCHMARK.json).
+# perfbench/ is its own Go module, so `make test` and `make race` do not
+# reach it.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
+
 # Documentation gate: every relative markdown link AND #fragment anchor in
 # the doc set must resolve, benchmark-snapshot references must not be stale
 # relative to $(BENCH_JSON), the docs/LINT.md analyzer catalog must match
@@ -101,4 +108,4 @@ docs:
 	@$(GO) doc ./internal/colfile >/dev/null
 	@echo "docs OK"
 
-ci: build lint test race fuzz-smoke bench-smoke server-smoke docs
+ci: build lint test race fuzz-smoke bench-smoke server-smoke perfbench-smoke docs

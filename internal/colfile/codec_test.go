@@ -5,6 +5,9 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -152,9 +155,8 @@ func TestConcurrentCodecPools(t *testing.T) {
 	}
 }
 
-// footerBytes returns the JSON footer of a sealed file.
-func footerBytes(t *testing.T, data []byte) []byte {
-	t.Helper()
+// footerBytes returns the footer of a sealed file.
+func footerBytes(data []byte) []byte {
 	flen := binary.LittleEndian.Uint64(data[len(data)-12 : len(data)-4])
 	return data[uint64(len(data))-12-flen : len(data)-12]
 }
@@ -180,17 +182,15 @@ func TestFootersCarryNoSketches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(footerBytes(t, data), []byte("sketches")) {
-		t.Fatal("data file footer carries sketches")
-	}
 
-	// Spill and exchange files: no sketches in the footer and none computed.
+	// Spill and exchange files: none computed, and the same file bytes as
+	// the sketching writer's.
 	spill, err := MarshalBatch(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(footerBytes(t, spill), []byte("sketches")) {
-		t.Fatal("spill file footer carries sketches")
+	if !bytes.Equal(spill, data) {
+		t.Fatal("spill file differs from the data file of the same batch")
 	}
 	sketching := testing.AllocsPerRun(20, func() {
 		w := NewWriter(schema)
@@ -201,23 +201,85 @@ func TestFootersCarryNoSketches(t *testing.T) {
 	if spilling >= sketching {
 		t.Fatalf("MarshalBatch allocs/op = %.0f, sketching writer = %.0f: spill files still observe sketches", spilling, sketching)
 	}
+}
 
-	// A footer sealed with sketches (older files) still opens.
-	legacy := bytes.Replace(footerBytes(t, data), []byte(`{"schema"`), []byte(`{"sketches":[{"rows":100}],"schema"`), 1)
-	r, err := OpenReader(resealRaw(data, legacy))
-	if err != nil {
-		t.Fatalf("legacy footer: %v", err)
+// TestFooterRoundTrip encodes random footers (random schemas including
+// empty names and out-of-range types, absent or present zone maps, empty
+// strings, negative fields, zero row groups, chunk counts that disagree with
+// the schema) and requires decoding to return exactly the footer encoded.
+func TestFooterRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	str := func() string {
+		b := make([]byte, rng.Intn(4)*rng.Intn(40))
+		rng.Read(b)
+		return string(b)
 	}
-	if got, err := r.ReadAll(); err != nil || !sameBatch(got, b) {
-		t.Fatalf("legacy footer read = %v", err)
+	num := func() int64 {
+		switch rng.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return -rng.Int63()
+		case 2:
+			return int64(rng.Intn(300))
+		}
+		return rng.Int63()
+	}
+	for iter := 0; iter < 500; iter++ {
+		var m footer
+		for c := rng.Intn(6); c > 0; c-- {
+			m.Schema = append(m.Schema, Field{Name: str(), Type: DataType(rng.Intn(6))})
+		}
+		if rng.Intn(2) == 0 {
+			m.SortedBy = str()
+		}
+		m.NumRows = num()
+		for g := rng.Intn(4); g > 0; g-- {
+			rg := rowGroupMeta{NumRows: int(num())}
+			for c := rng.Intn(len(m.Schema) + 2); c > 0; c-- {
+				ch := chunkMeta{Offset: num(), Length: num()}
+				st := &ch.Stats
+				st.NullCount = int(num())
+				// Each statistic is independently absent or present.
+				present := rng.Intn(64)
+				if present&1 != 0 {
+					st.MinInt = ptr(num())
+				}
+				if present&2 != 0 {
+					st.MaxInt = ptr(num())
+				}
+				if present&4 != 0 {
+					st.MinFloat = ptr(math.Inf(-1))
+				}
+				if present&8 != 0 {
+					st.MaxFloat = ptr(rng.NormFloat64() * 1e9)
+				}
+				if present&16 != 0 {
+					st.MinStr = ptr("")
+				}
+				if present&32 != 0 {
+					st.MaxStr = ptr(str())
+				}
+				rg.Chunks = append(rg.Chunks, ch)
+			}
+			m.RowGroups = append(m.RowGroups, rg)
+		}
+		enc := appendFooter(nil, &m)
+		got, err := decodeFooter(enc)
+		if err != nil {
+			t.Fatalf("iter %d: decode: %v", iter, err)
+		}
+		if !reflect.DeepEqual(got, m) {
+			t.Fatalf("iter %d: decoded %+v, encoded %+v", iter, got, m)
+		}
 	}
 }
 
-// resealRaw replaces the footer bytes of a sealed file with fj verbatim.
-func resealRaw(data, fj []byte) []byte {
+// resealRaw replaces the footer bytes of a sealed file with fb verbatim.
+func resealRaw(data, fb []byte) []byte {
 	flen := binary.LittleEndian.Uint64(data[len(data)-12 : len(data)-4])
 	out := append([]byte(nil), data[:uint64(len(data))-12-flen]...)
-	out = append(out, fj...)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(fj)))
+	out = append(out, fb...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(fb)))
 	return append(out, fileMagic...)
 }

@@ -6,7 +6,7 @@ package colfile
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"testing"
 )
@@ -114,26 +114,34 @@ func TestSingleByteCorruptionsNeverPanic(t *testing.T) {
 
 // TestCorruptFooterFieldsRejected pins the structural footer checks:
 // negative offsets, chunk counts that disagree with the schema, and row or
-// length fields larger than the bytes present are errors.
+// length fields larger than the bytes present are errors. Each mutated footer
+// is re-sealed through the footer encoder and must decode cleanly, so the
+// rejection comes from validation rather than from a malformed encoding.
+// Every case but one fails validation when the file is opened; a row count
+// that only the chunk bytes contradict fails when the chunk is decoded.
 func TestCorruptFooterFieldsRejected(t *testing.T) {
 	data, _ := corruptFixture(t)
 	r, err := OpenReader(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := map[string]func(m *footer){
-		"negative offset":         func(m *footer) { m.RowGroups[0].Chunks[1].Offset = -4 },
-		"negative length":         func(m *footer) { m.RowGroups[0].Chunks[1].Length = -1 },
-		"chunk past footer":       func(m *footer) { m.RowGroups[1].Chunks[0].Length = 1 << 40 },
-		"too few chunks":          func(m *footer) { m.RowGroups[0].Chunks = m.RowGroups[0].Chunks[:2] },
-		"too many chunks":         func(m *footer) { m.RowGroups[1].Chunks = append(m.RowGroups[1].Chunks, m.RowGroups[1].Chunks[0]) },
-		"no chunks":               func(m *footer) { m.RowGroups[0].Chunks = nil },
-		"unknown column type":     func(m *footer) { m.Schema[2].Type = 9 },
-		"negative group rows":     func(m *footer) { m.RowGroups[1].NumRows = -5 },
-		"row total mismatch":      func(m *footer) { m.NumRows++ },
-		"rows beyond chunk bytes": func(m *footer) { m.RowGroups[1].NumRows, m.NumRows = 1<<40, m.NumRows+1<<40-5 },
+	chunkEnd := int64(len(data)) - 12 - int64(len(footerBytes(data)))
+	cases := map[string]struct {
+		mutate func(m *footer)
+		atRead bool // passes validation; the chunk decoder rejects it
+	}{
+		"negative offset":         {mutate: func(m *footer) { m.RowGroups[0].Chunks[1].Offset = -4 }},
+		"negative length":         {mutate: func(m *footer) { m.RowGroups[0].Chunks[1].Length = -1 }},
+		"chunk past footer":       {mutate: func(m *footer) { m.RowGroups[1].Chunks[0].Length = 1 << 40 }},
+		"too few chunks":          {mutate: func(m *footer) { m.RowGroups[0].Chunks = m.RowGroups[0].Chunks[:2] }},
+		"too many chunks":         {mutate: func(m *footer) { m.RowGroups[1].Chunks = append(m.RowGroups[1].Chunks, m.RowGroups[1].Chunks[0]) }},
+		"no chunks":               {mutate: func(m *footer) { m.RowGroups[0].Chunks = nil }},
+		"unknown column type":     {mutate: func(m *footer) { m.Schema[2].Type = 9 }},
+		"negative group rows":     {mutate: func(m *footer) { m.RowGroups[1].NumRows = -5 }},
+		"row total mismatch":      {mutate: func(m *footer) { m.NumRows++ }},
+		"rows beyond chunk bytes": {mutate: func(m *footer) { m.RowGroups[1].NumRows, m.NumRows = 1<<40, m.NumRows+1<<40-5 }, atRead: true},
 	}
-	for name, mutate := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			m := r.meta
 			m.Schema = append(Schema(nil), m.Schema...)
@@ -141,12 +149,17 @@ func TestCorruptFooterFieldsRejected(t *testing.T) {
 			for g := range m.RowGroups {
 				m.RowGroups[g].Chunks = append([]chunkMeta(nil), m.RowGroups[g].Chunks...)
 			}
-			mutate(&m)
-			fj, err := json.Marshal(m)
+			tc.mutate(&m)
+			fb := appendFooter(nil, &m)
+			decoded, err := decodeFooter(fb)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("mutated footer does not decode: %v", err)
 			}
-			bad := resealRaw(data, fj)
+			verr := decoded.validate(chunkEnd)
+			if tc.atRead != (verr == nil) {
+				t.Fatalf("validate = %v, want an error exactly when the case is not left to the chunk decoder (atRead=%v)", verr, tc.atRead)
+			}
+			bad := resealRaw(data, fb)
 			if err := decodeNoPanic(bad); err != nil {
 				t.Fatal(err)
 			}
@@ -154,6 +167,41 @@ func TestCorruptFooterFieldsRejected(t *testing.T) {
 				t.Fatal("corrupt footer accepted")
 			}
 		})
+	}
+}
+
+// malformedFooter is a file whose footer bytes are not a valid encoding:
+// the footer decoder, not validation, must reject it.
+type malformedFooter struct {
+	name string
+	data []byte
+}
+
+func malformedFooters(data []byte) []malformedFooter {
+	fb := footerBytes(data)
+	return []malformedFooter{
+		// A column count whose continuation bit promises more bytes.
+		{"truncated varint", resealRaw(data, []byte{0x80})},
+		// No columns, no sort column, no rows, then a row-group count far
+		// larger than the bytes that follow.
+		{"oversized count", resealRaw(data, binary.AppendUvarint([]byte{0, 0, 0}, 1<<40))},
+		{"trailing bytes", resealRaw(data, append(append([]byte(nil), fb...), 0))},
+		// One column, no sort column, no rows, one row group of one chunk
+		// whose flags byte sets a bit no statistic uses.
+		{"unknown stat flags", resealRaw(data, []byte{1, 1, 'k', 0, 0, 0, 1, 0, 1, 0, 0, 0x80, 0})},
+		{"truncated", resealRaw(data, fb[:len(fb)-1])},
+	}
+}
+
+func TestMalformedFootersRejected(t *testing.T) {
+	data, _ := corruptFixture(t)
+	for _, tc := range malformedFooters(data) {
+		if _, err := decodeFooter(footerBytes(tc.data)); err == nil {
+			t.Errorf("%s: footer decoder accepted malformed bytes", tc.name)
+		}
+		if _, err := OpenReader(tc.data); err == nil {
+			t.Errorf("%s: OpenReader accepted malformed footer", tc.name)
+		}
 	}
 }
 
@@ -170,6 +218,9 @@ func FuzzColfileCorrupt(f *testing.F) {
 		f.Add(bad)
 	}
 	f.Add(data[:len(data)/2])
+	for _, tc := range malformedFooters(data) {
+		f.Add(tc.data)
+	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if err := decodeNoPanic(in); err != nil {
 			t.Fatal(err)

@@ -3,7 +3,6 @@ package colfile
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -11,17 +10,31 @@ import (
 
 // File layout:
 //
-//	[chunk bytes ...][footer JSON][footer length: 8 bytes LE][magic: 4 bytes]
+//	[chunk bytes ...][footer][footer length: 8 bytes LE][magic: 4 bytes]
 //
 // The footer records the schema, each row group's per-column chunk offsets,
-// and zone-map statistics. It carries no NDV sketches: the Writer hands
-// those to the manifest action of the file it seals (Writer.Sketches), which
-// is where the planner reads them, so a file open never parses them. Footers
-// of files sealed with a "sketches" entry still parse; the entry is ignored.
-var fileMagic = []byte("PCF1")
+// and zone-map statistics, in a compact binary encoding:
+//
+//	footer = uvarint(#cols) { str(name) byte(type) }
+//	         str(sorted by) varint(rows)
+//	         uvarint(#groups) { varint(rows) uvarint(#chunks) { chunk } }
+//	chunk  = varint(offset) varint(length) byte(stat flags) varint(nulls)
+//	         [varint(min int)] [varint(max int)]
+//	         [f64(min float)] [f64(max float)]
+//	         [str(min str)] [str(max str)]
+//	str    = uvarint(len) bytes
+//
+// varint is Go's zigzag signed varint, f64 the little-endian IEEE bits, and
+// flag bit i marks the i-th bracketed statistic as present. Offsets,
+// lengths and row counts are signed so any footer value can be encoded;
+// OpenReader's validation, not the encoding, rejects impossible ones. The
+// footer carries no NDV sketches: the Writer hands those to the manifest
+// action of the file it seals (Writer.Sketches), which is where the planner
+// reads them.
+var fileMagic = []byte("PCF2")
 
-// ColStats holds the zone map for one column chunk. Min/Max are stored as the
-// JSON-friendly representations of the column type; NullCount counts NULLs.
+// ColStats holds the zone map for one column chunk. Min/Max hold values of
+// the column type (bool columns have none); NullCount counts NULLs.
 type ColStats struct {
 	MinInt    *int64   `json:"min_int,omitempty"`
 	MaxInt    *int64   `json:"max_int,omitempty"`
@@ -34,24 +47,247 @@ type ColStats struct {
 
 // chunkMeta locates one column chunk within the file.
 type chunkMeta struct {
-	Offset int64    `json:"offset"`
-	Length int64    `json:"length"`
-	Stats  ColStats `json:"stats"`
+	Offset int64
+	Length int64
+	Stats  ColStats
 }
 
 // rowGroupMeta describes one row group.
 type rowGroupMeta struct {
-	NumRows int         `json:"num_rows"`
-	Chunks  []chunkMeta `json:"chunks"`
+	NumRows int
+	Chunks  []chunkMeta
 }
 
 type footer struct {
-	Schema    Schema         `json:"schema"`
-	RowGroups []rowGroupMeta `json:"row_groups"`
-	NumRows   int64          `json:"num_rows"`
+	Schema    Schema
+	RowGroups []rowGroupMeta
+	NumRows   int64
 	// SortedBy names the column the writer declared rows ordered by within
 	// each row group (Z-order / clustering stand-in); empty if unsorted.
-	SortedBy string `json:"sorted_by,omitempty"`
+	SortedBy string
+}
+
+// Zone-map statistic flags, one bit per optional ColStats field, in
+// encoding order.
+const (
+	statMinInt byte = 1 << iota
+	statMaxInt
+	statMinFloat
+	statMaxFloat
+	statMinStr
+	statMaxStr
+)
+
+// appendFooter appends the binary encoding of m to b.
+func appendFooter(b []byte, m *footer) []byte {
+	b = binary.AppendUvarint(b, uint64(len(m.Schema)))
+	for _, f := range m.Schema {
+		b = appendStr(b, f.Name)
+		b = append(b, byte(f.Type))
+	}
+	b = appendStr(b, m.SortedBy)
+	b = binary.AppendVarint(b, m.NumRows)
+	b = binary.AppendUvarint(b, uint64(len(m.RowGroups)))
+	for _, rg := range m.RowGroups {
+		b = binary.AppendVarint(b, int64(rg.NumRows))
+		b = binary.AppendUvarint(b, uint64(len(rg.Chunks)))
+		for _, ch := range rg.Chunks {
+			b = binary.AppendVarint(b, ch.Offset)
+			b = binary.AppendVarint(b, ch.Length)
+			st := &ch.Stats
+			b = append(b, statFlag(st.MinInt != nil, statMinInt)|statFlag(st.MaxInt != nil, statMaxInt)|
+				statFlag(st.MinFloat != nil, statMinFloat)|statFlag(st.MaxFloat != nil, statMaxFloat)|
+				statFlag(st.MinStr != nil, statMinStr)|statFlag(st.MaxStr != nil, statMaxStr))
+			b = binary.AppendVarint(b, int64(st.NullCount))
+			if st.MinInt != nil {
+				b = binary.AppendVarint(b, *st.MinInt)
+			}
+			if st.MaxInt != nil {
+				b = binary.AppendVarint(b, *st.MaxInt)
+			}
+			if st.MinFloat != nil {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(*st.MinFloat))
+			}
+			if st.MaxFloat != nil {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(*st.MaxFloat))
+			}
+			if st.MinStr != nil {
+				b = appendStr(b, *st.MinStr)
+			}
+			if st.MaxStr != nil {
+				b = appendStr(b, *st.MaxStr)
+			}
+		}
+	}
+	return b
+}
+
+func statFlag(present bool, flag byte) byte {
+	if present {
+		return flag
+	}
+	return 0
+}
+
+func appendStr(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+// footerDecoder reads a binary footer. The first malformed field sets err;
+// every later read then returns a zero value, so decodeFooter checks err
+// once at the end.
+type footerDecoder struct {
+	buf []byte
+	// whole is buf converted once: names and string zone maps are
+	// substrings of it rather than one allocation each.
+	whole string
+	pos   int
+	err   error
+}
+
+func (d *footerDecoder) fail(what string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("colfile: malformed footer: %s at byte %d", what, d.pos)
+	}
+}
+
+func (d *footerDecoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.buf[d.pos:])
+	if n <= 0 {
+		d.fail("bad uvarint")
+		return 0
+	}
+	d.pos += n
+	return v
+}
+
+func (d *footerDecoder) varint() int64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(d.buf[d.pos:])
+	if n <= 0 {
+		d.fail("bad varint")
+		return 0
+	}
+	d.pos += n
+	return v
+}
+
+func (d *footerDecoder) u8() byte {
+	if d.err != nil {
+		return 0
+	}
+	if d.pos >= len(d.buf) {
+		d.fail("truncated")
+		return 0
+	}
+	d.pos++
+	return d.buf[d.pos-1]
+}
+
+func (d *footerDecoder) f64() float64 {
+	if d.err != nil {
+		return 0
+	}
+	if len(d.buf)-d.pos < 8 {
+		d.fail("truncated float")
+		return 0
+	}
+	d.pos += 8
+	return math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.pos-8:]))
+}
+
+func (d *footerDecoder) str() string {
+	n := d.uvarint()
+	if n > uint64(len(d.buf)-d.pos) {
+		d.fail("string longer than footer")
+		return ""
+	}
+	s := d.whole[d.pos : d.pos+int(n)]
+	d.pos += int(n)
+	return s
+}
+
+// count reads an element count and checks that the bytes left can hold that
+// many elements of at least minSize bytes each, so a corrupt count never
+// sizes an allocation.
+func (d *footerDecoder) count(minSize int) int {
+	n := d.uvarint()
+	if n > uint64((len(d.buf)-d.pos)/minSize) {
+		d.fail(fmt.Sprintf("count %d exceeds remaining bytes", n))
+		return 0
+	}
+	return int(n)
+}
+
+// makeN returns a slice of n elements, nil for none.
+func makeN[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, n)
+}
+
+// decodeFooter parses a footer written by appendFooter. It checks only the
+// encoding (every field present, no trailing bytes); footer.validate checks
+// the decoded structure against the file.
+func decodeFooter(buf []byte) (footer, error) {
+	d := footerDecoder{buf: buf, whole: string(buf)}
+	var m footer
+	// Minimum encoded sizes: a column is a name length and a type byte; a
+	// row group a row count and a chunk count; a chunk an offset, a length,
+	// a flags byte and a null count.
+	m.Schema = makeN[Field](d.count(2))
+	for i := range m.Schema {
+		m.Schema[i].Name = d.str()
+		m.Schema[i].Type = DataType(d.u8())
+	}
+	m.SortedBy = d.str()
+	m.NumRows = d.varint()
+	m.RowGroups = makeN[rowGroupMeta](d.count(2))
+	for g := range m.RowGroups {
+		rg := &m.RowGroups[g]
+		rg.NumRows = int(d.varint())
+		rg.Chunks = makeN[chunkMeta](d.count(4))
+		for c := range rg.Chunks {
+			ch := &rg.Chunks[c]
+			ch.Offset = d.varint()
+			ch.Length = d.varint()
+			flags := d.u8()
+			if flags >= statMaxStr<<1 {
+				d.fail("unknown zone-map flags")
+			}
+			st := &ch.Stats
+			st.NullCount = int(d.varint())
+			if flags&statMinInt != 0 {
+				st.MinInt = ptr(d.varint())
+			}
+			if flags&statMaxInt != 0 {
+				st.MaxInt = ptr(d.varint())
+			}
+			if flags&statMinFloat != 0 {
+				st.MinFloat = ptr(d.f64())
+			}
+			if flags&statMaxFloat != 0 {
+				st.MaxFloat = ptr(d.f64())
+			}
+			if flags&statMinStr != 0 {
+				st.MinStr = ptr(d.str())
+			}
+			if flags&statMaxStr != 0 {
+				st.MaxStr = ptr(d.str())
+			}
+		}
+	}
+	if d.err == nil && d.pos != len(buf) {
+		d.fail("trailing bytes")
+	}
+	return m, d.err
 }
 
 // Writer builds a columnar file in memory.
@@ -123,16 +359,11 @@ func (w *Writer) Finish() ([]byte, error) {
 	}
 	w.finished = true
 	w.meta.SortedBy = w.sortedBy
-	fj, err := json.Marshal(w.meta)
-	if err != nil {
-		return nil, err
-	}
-	w.buf.Write(fj)
-	var lenBuf [8]byte
-	binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(fj)))
-	w.buf.Write(lenBuf[:])
-	w.buf.Write(fileMagic)
-	return w.buf.Bytes(), nil
+	data := w.buf.Bytes()
+	chunkEnd := len(data)
+	data = appendFooter(data, &w.meta)
+	data = binary.LittleEndian.AppendUint64(data, uint64(len(data)-chunkEnd))
+	return append(data, fileMagic...), nil
 }
 
 // NumRows returns the rows written so far.
@@ -165,8 +396,9 @@ func computeStats(v *Vec) ColStats {
 		case Float64:
 			x := v.Floats[i]
 			if math.IsNaN(x) || math.IsInf(x, 0) {
-				// Non-finite values are not JSON-encodable and would poison
-				// the zone map; drop the map for this chunk (no pruning).
+				// Non-finite values would poison the zone map (NaN compares
+				// false against everything); drop the map for this chunk (no
+				// pruning).
 				nonFinite = true
 				continue
 			}
@@ -216,9 +448,9 @@ func OpenReader(data []byte) (*Reader, error) {
 		return nil, errors.New("colfile: footer length out of range")
 	}
 	fstart := uint64(len(data)) - 12 - flen
-	var meta footer
-	if err := json.Unmarshal(data[fstart:fstart+flen], &meta); err != nil {
-		return nil, fmt.Errorf("colfile: parse footer: %w", err)
+	meta, err := decodeFooter(data[fstart : fstart+flen])
+	if err != nil {
+		return nil, err
 	}
 	if err := meta.validate(int64(fstart)); err != nil {
 		return nil, err

@@ -187,8 +187,9 @@ func (t *Txn) Commit() error {
 		tableID  int64
 		manifest string
 		actions  []manifest.Action
+		prevSeq  int64 // the table's previous commit, noted under the commit lock
 	}
-	var events []pendingEvent
+	var events []*pendingEvent
 
 	for id, ts := range t.tables {
 		if ts.kind == wroteNothing || len(ts.actions) == 0 {
@@ -214,7 +215,12 @@ func (t *Txn) Commit() error {
 		// Step 3 (deferred under the commit lock): Manifests row insert.
 		mf := TablePaths{ID: id}.ManifestFile(t.id)
 		catalog.InsertManifestAtCommit(t.catTx, id, mf, t.id)
-		events = append(events, pendingEvent{tableID: id, manifest: mf, actions: ts.actions})
+		ev := &pendingEvent{tableID: id, manifest: mf, actions: ts.actions}
+		t.catTx.DeferWithSeq(func(seq int64) []catalog.KV {
+			ev.prevSeq = t.eng.Cache.NoteCommit(ev.tableID, seq)
+			return nil
+		})
+		events = append(events, ev)
 	}
 
 	// Step 4: catalog commit — validation happens here.
@@ -230,7 +236,9 @@ func (t *Txn) Commit() error {
 	seq := t.catTx.CommitSeq()
 	now := time.Now()
 	for _, ev := range events {
-		t.eng.Cache.Advance(ev.tableID, seq, ev.actions)
+		// Advance runs outside the commit lock, so commits can reach the
+		// cache out of order; prevSeq lets it apply each to the right state.
+		t.eng.Cache.Advance(ev.tableID, ev.prevSeq, seq, ev.actions)
 		t.eng.notify(CommitEvent{
 			TableID: ev.tableID, TxnID: t.id, Seq: seq,
 			Manifest: ev.manifest, Actions: ev.actions, When: now,

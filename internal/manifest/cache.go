@@ -11,6 +11,9 @@ import (
 type SnapshotCache struct {
 	mu     sync.Mutex
 	tables map[int64]*cachedTable
+	// heads records each table's newest commit sequence as NoteCommit saw
+	// it, so Advance knows which state a commit applies to.
+	heads map[int64]int64
 	// Hits and Misses count lookups for the whole cache.
 	hits, misses int64
 }
@@ -29,7 +32,23 @@ type cachedTable struct {
 
 // NewSnapshotCache returns an empty cache.
 func NewSnapshotCache() *SnapshotCache {
-	return &SnapshotCache{tables: make(map[int64]*cachedTable)}
+	return &SnapshotCache{tables: make(map[int64]*cachedTable), heads: make(map[int64]int64)}
+}
+
+// NoteCommit records seq as tableID's newest commit and returns the
+// sequence of the commit before it, or -1 when the cache has not seen one
+// since the table was created or invalidated. Callers must note a table's
+// commits in sequence order (under the catalog commit lock); the result is
+// the prevSeq to pass to Advance.
+func (c *SnapshotCache) NoteCommit(tableID, seq int64) (prevSeq int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	prev, ok := c.heads[tableID]
+	if !ok {
+		prev = -1
+	}
+	c.heads[tableID] = seq
+	return prev
 }
 
 // Get returns the cached snapshot of tableID as of seq, or nil.
@@ -70,20 +89,25 @@ func (c *SnapshotCache) Put(tableID int64, s *TableState) {
 }
 
 // Advance applies a newly committed manifest to the cached latest snapshot,
-// keeping the cache warm without a full replay. It is a no-op when the table
-// is not cached or the sequence is not the immediate successor path. A
-// latest snapshot that Advance itself produced is rolled forward in place,
-// so a stream of commits keeps one advanced state rather than one per
-// commit; a snapshot a reader Put is cloned first and stays cached.
-func (c *SnapshotCache) Advance(tableID, seq int64, actions []Action) {
+// keeping the cache warm without a full replay. prevSeq is the table's
+// commit before seq, from NoteCommit (-1, unknown, matches no cached
+// state). Commits may arrive here in any order, so the state is advanced
+// only when the cached latest snapshot is exactly the one at prevSeq;
+// otherwise (table not cached, predecessor not yet applied or unknown, a
+// newer snapshot already cached) it is a no-op and readers reconstruct from
+// the durable manifests. A latest snapshot that Advance itself produced is
+// rolled forward in place, so a stream of commits keeps one advanced state
+// rather than one per commit; a snapshot a reader Put is cloned first and
+// stays cached.
+func (c *SnapshotCache) Advance(tableID, prevSeq, seq int64, actions []Action) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t, ok := c.tables[tableID]
-	if !ok {
+	if !ok || t.latest != prevSeq {
 		return
 	}
 	base, ok := t.states[t.latest]
-	if !ok || seq <= t.latest {
+	if !ok {
 		return
 	}
 	next := base
@@ -103,11 +127,14 @@ func (c *SnapshotCache) Advance(tableID, seq int64, actions []Action) {
 	t.advanced = true
 }
 
-// Invalidate drops all cached snapshots for a table.
+// Invalidate drops all cached snapshots for a table, and its noted head:
+// the caller is rewriting the table's history, so the next commit's
+// predecessor is unknown.
 func (c *SnapshotCache) Invalidate(tableID int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.tables, tableID)
+	delete(c.heads, tableID)
 }
 
 // Trim drops cached snapshots older than keepSeq for a table, bounding

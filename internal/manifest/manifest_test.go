@@ -292,7 +292,7 @@ func TestSnapshotCacheAdvance(t *testing.T) {
 	s := NewTableState()
 	must(t, s.Apply(1, []Action{addData("a", 10)}))
 	c.Put(7, s)
-	c.Advance(7, 2, []Action{addData("b", 5)})
+	c.Advance(7, 1, 2, []Action{addData("b", 5)})
 	got := c.Get(7, 2)
 	if got == nil || got.TotalRows() != 15 {
 		t.Fatalf("advanced = %v", got)
@@ -306,7 +306,7 @@ func TestSnapshotCacheAdvance(t *testing.T) {
 		t.Fatalf("old = %v", old)
 	}
 	// bad advance (unknown file removal) drops the table
-	c.Advance(7, 3, []Action{removeData("ghost")})
+	c.Advance(7, 2, 3, []Action{removeData("ghost")})
 	if c.Get(7, -1) != nil {
 		t.Fatal("cache kept state after failed advance")
 	}
@@ -320,7 +320,7 @@ func TestSnapshotCacheAdvanceRetainsConstantStates(t *testing.T) {
 	var held *TableState
 	const commits = 200
 	for seq := int64(2); seq <= commits+1; seq++ {
-		c.Advance(7, seq, []Action{addData(fmt.Sprintf("f%d", seq), 1)})
+		c.Advance(7, seq-1, seq, []Action{addData(fmt.Sprintf("f%d", seq), 1)})
 		if seq == 50 {
 			held = c.Get(7, -1)
 		}
@@ -344,9 +344,61 @@ func TestSnapshotCacheAdvanceRetainsConstantStates(t *testing.T) {
 	// A reader's Put at the latest sequence makes the next Advance clone it.
 	c.Put(7, held)
 	c.Put(7, c.Get(7, -1))
-	c.Advance(7, commits+2, []Action{addData("last", 1)})
+	c.Advance(7, commits+1, commits+2, []Action{addData("last", 1)})
 	if again := c.Get(7, commits+1); again == nil || again.TotalRows() != 10+commits {
 		t.Fatalf("Put snapshot at seq %d = %v, want kept after Advance", commits+1, again)
+	}
+}
+
+// TestSnapshotCacheAdvanceOutOfOrder delivers commits to Advance in an order
+// other than their sequence, as concurrent committers do. A commit whose
+// predecessor has not been applied must not advance the cache, and the
+// predecessor arriving late must not be lost behind it: every cached state
+// equals a replay of the commits up to its sequence.
+func TestSnapshotCacheAdvanceOutOfOrder(t *testing.T) {
+	c := NewSnapshotCache()
+	s := NewTableState()
+	must(t, s.Apply(1, []Action{addData("a", 10)}))
+	c.Put(7, s)
+	// Commits 3, 5 and 6 touch table 7; 2 and 4 touch other tables.
+	for _, seq := range []int64{1, 3, 5, 6} {
+		c.NoteCommit(7, seq)
+	}
+	c.NoteCommit(8, 2)
+	c.NoteCommit(8, 4)
+	// Commit 5 reaches the cache before commit 3.
+	c.Advance(7, 3, 5, []Action{addData("c", 100)})
+	if got := c.Get(7, 5); got != nil {
+		t.Fatalf("commit 5 applied before commit 3: state at 5 has %d rows", got.TotalRows())
+	}
+	c.Advance(7, 1, 3, []Action{addData("b", 1)})
+	if got := c.Get(7, 3); got == nil || got.TotalRows() != 11 {
+		t.Fatalf("late commit 3 = %v, want 11 rows", got)
+	}
+	// Commit 5 is gone from the cache; commit 6 must not build on 3.
+	c.Advance(7, 5, 6, []Action{addData("d", 1000)})
+	if got := c.Get(7, 6); got != nil {
+		t.Fatalf("commit 6 applied without commit 5: %d rows", got.TotalRows())
+	}
+	// A reader reconstructing at 6 re-warms the cache; in-order commits
+	// advance again.
+	full := NewTableState()
+	must(t, full.Apply(1, []Action{addData("a", 10)}))
+	must(t, full.Apply(3, []Action{addData("b", 1)}))
+	must(t, full.Apply(5, []Action{addData("c", 100)}))
+	must(t, full.Apply(6, []Action{addData("d", 1000)}))
+	c.Put(7, full)
+	if prev := c.NoteCommit(7, 9); prev != 6 {
+		t.Fatalf("NoteCommit prev = %d, want 6", prev)
+	}
+	c.Advance(7, 6, 9, []Action{addData("e", 1)})
+	if got := c.Get(7, 9); got == nil || got.TotalRows() != 1112 {
+		t.Fatalf("in-order commit 9 = %v, want 1112 rows", got)
+	}
+	// Invalidation forgets the head: the next commit's predecessor is unknown.
+	c.Invalidate(7)
+	if prev := c.NoteCommit(7, 10); prev != -1 {
+		t.Fatalf("NoteCommit after Invalidate = %d, want -1", prev)
 	}
 }
 

@@ -320,20 +320,26 @@ func (s *Store) CommitBlockList(blobName string, blockIDs []string, creatorStamp
 	if b, ok := s.blobs[blobName]; ok {
 		committed = b.blkData
 	}
-	newData := make([]byte, 0, 1024)
-	newBlkData := make(map[string][]byte, len(blockIDs))
-	for _, id := range blockIDs {
+	blocks := make([][]byte, len(blockIDs))
+	size := 0
+	for i, id := range blockIDs {
 		if sb, ok := staged[id]; ok {
-			newData = append(newData, sb.data...)
-			newBlkData[id] = sb.data
-			continue
+			blocks[i] = sb.data
+		} else if cb, ok := committed[id]; ok {
+			blocks[i] = cb
+		} else {
+			return fmt.Errorf("%w: blob %s block %s", ErrBlockNotFound, blobName, id)
 		}
-		if cb, ok := committed[id]; ok {
-			newData = append(newData, cb...)
-			newBlkData[id] = cb
-			continue
-		}
-		return fmt.Errorf("%w: blob %s block %s", ErrBlockNotFound, blobName, id)
+		size += len(blocks[i])
+	}
+	// Each committed block is a capacity-capped window of the blob's bytes,
+	// so the blob is held once rather than once more as its blocks.
+	newData := make([]byte, 0, size)
+	newBlkData := make(map[string][]byte, len(blockIDs))
+	for i, id := range blockIDs {
+		start := len(newData)
+		newData = append(newData, blocks[i]...)
+		newBlkData[id] = newData[start:len(newData):len(newData)]
 	}
 	created := s.now()
 	if prev, ok := s.blobs[blobName]; ok {

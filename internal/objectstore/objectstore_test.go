@@ -179,6 +179,35 @@ func TestBlockCommitAppendsCommittedBlocks(t *testing.T) {
 	}
 }
 
+// TestCommittedBlocksAliasBlob pins that a committed blob's bytes are held
+// once: every committed block is a window of the blob's data, capped so an
+// append to it cannot write into the next block, including blocks carried
+// over from the previous commit.
+func TestCommittedBlocksAliasBlob(t *testing.T) {
+	s := New()
+	must(t, s.StageBlock("m", "a", []byte("aaaa")))
+	must(t, s.CommitBlockList("m", []string{"a"}, 0))
+	must(t, s.StageBlock("m", "b", []byte("bb")))
+	must(t, s.StageBlock("m", "c", []byte("ccc")))
+	must(t, s.CommitBlockList("m", []string{"a", "b", "c"}, 0))
+	b := s.blobs["m"]
+	if string(b.data) != "aaaabbccc" {
+		t.Fatalf("content = %q", b.data)
+	}
+	for _, blk := range []struct {
+		id         string
+		start, end int
+	}{{"a", 0, 4}, {"b", 4, 6}, {"c", 6, 9}} {
+		got := b.blkData[blk.id]
+		if len(got) != blk.end-blk.start || &got[0] != &b.data[blk.start] {
+			t.Fatalf("block %s does not alias blob bytes [%d,%d)", blk.id, blk.start, blk.end)
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("block %s has capacity %d beyond its %d bytes", blk.id, cap(got), len(got))
+		}
+	}
+}
+
 func TestCommitUnknownBlockFails(t *testing.T) {
 	s := New()
 	must(t, s.StageBlock("m", "a", []byte("A")))
