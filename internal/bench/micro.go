@@ -7,6 +7,7 @@ package bench
 // (BENCH_PR2.json) rather than paper-shape comparisons.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -78,8 +79,8 @@ func ParallelScanAggregate(files []exec.ScanFile, dop int) (*colfile.Batch, erro
 	if err != nil {
 		return nil, err
 	}
-	batches, err := exec.RunMorsels(morsels, dop, func(m exec.Morsel) (exec.Operator, error) {
-		s, err := exec.NewMorselScan(m, nil, nil, nil)
+	batches, err := exec.RunIndexed(context.Background(), len(morsels), dop, func(i int) (exec.Operator, error) {
+		s, err := exec.NewMorselScan(morsels[i], nil, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -114,8 +115,8 @@ func ParallelSort(files []exec.ScanFile, dop int) (*colfile.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	batches, err := exec.RunMorsels(morsels, dop, func(m exec.Morsel) (exec.Operator, error) {
-		s, err := exec.NewMorselScan(m, nil, nil, nil)
+	batches, err := exec.RunIndexed(context.Background(), len(morsels), dop, func(i int) (exec.Operator, error) {
+		s, err := exec.NewMorselScan(morsels[i], nil, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -144,8 +145,8 @@ func ParallelTopN(files []exec.ScanFile, dop int) (*colfile.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	batches, err := exec.RunMorsels(morsels, dop, func(m exec.Morsel) (exec.Operator, error) {
-		s, err := exec.NewMorselScan(m, nil, nil, nil)
+	batches, err := exec.RunIndexed(context.Background(), len(morsels), dop, func(i int) (exec.Operator, error) {
+		s, err := exec.NewMorselScan(morsels[i], nil, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -199,8 +200,8 @@ func ParallelJoinProbe(files []exec.ScanFile, table *exec.JoinTable, dop int) (*
 	if err != nil {
 		return nil, err
 	}
-	batches, err := exec.RunMorsels(morsels, dop, func(m exec.Morsel) (exec.Operator, error) {
-		s, err := exec.NewMorselScan(m, nil, nil, nil)
+	batches, err := exec.RunIndexed(context.Background(), len(morsels), dop, func(i int) (exec.Operator, error) {
+		s, err := exec.NewMorselScan(morsels[i], nil, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -269,8 +270,8 @@ func ParallelJoinBloom(files []exec.ScanFile, table *exec.JoinTable, dop int, bl
 	if err != nil {
 		return nil, 0, err
 	}
-	batches, err := exec.RunMorsels(morsels, dop, func(m exec.Morsel) (exec.Operator, error) {
-		s, err := exec.NewMorselScan(m, nil, nil, nil)
+	batches, err := exec.RunIndexed(context.Background(), len(morsels), dop, func(i int) (exec.Operator, error) {
+		s, err := exec.NewMorselScan(morsels[i], nil, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -342,8 +343,8 @@ func ParallelJoinSpill(files []exec.ScanFile, dop int) (*colfile.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	probes, err := exec.RunMorsels(morsels, dop, func(m exec.Morsel) (exec.Operator, error) {
-		s, err := exec.NewMorselScan(m, nil, nil, nil)
+	probes, err := exec.RunIndexed(context.Background(), len(morsels), dop, func(i int) (exec.Operator, error) {
+		s, err := exec.NewMorselScan(morsels[i], nil, nil, nil)
 		if err != nil {
 			return nil, err
 		}

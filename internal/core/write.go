@@ -395,9 +395,13 @@ func (t *Txn) deleteCopyOnWrite(state *manifest.TableState, meta catalog.TableMe
 }
 
 // matchRows evaluates pred over each live file and returns, per file, the
-// matching row ordinals (file-global, DV-adjusted rows excluded).
+// matching row ordinals (file-global, DV-adjusted rows excluded). The
+// predicate compiles once, on the first row group, and its evaluation
+// context is reused across row groups.
 func (t *Txn) matchRows(state *manifest.TableState, meta catalog.TableMeta, pred exec.Expr) (map[string][]uint32, error) {
 	out := make(map[string][]uint32)
+	var prog *exec.Prog
+	var ctx *exec.EvalCtx
 	node := t.writeNode()
 	for _, fe := range state.LiveFiles() {
 		data, d, err := node.ReadFile(t.eng.Store, fe.Path)
@@ -427,7 +431,13 @@ func (t *Txn) matchRows(state *manifest.TableState, meta catalog.TableMeta, pred
 			if err != nil {
 				return nil, err
 			}
-			pv, err := pred.Eval(batch)
+			if prog == nil {
+				if prog, err = exec.Compile(pred, batch.Schema); err != nil {
+					return nil, err
+				}
+				ctx = prog.NewCtx()
+			}
+			pv, err := prog.Run(ctx, batch)
 			if err != nil {
 				return nil, err
 			}

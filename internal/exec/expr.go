@@ -25,7 +25,9 @@ import (
 type Expr interface {
 	// Type reports the result type given the input schema.
 	Type(schema colfile.Schema) (colfile.DataType, error)
-	// Eval computes the expression for every row of the batch.
+	// Eval computes the expression for every row of a dense batch. It is
+	// the row-at-a-time reference the compiled kernels are tested against;
+	// operators evaluate through Compile instead.
 	Eval(b *colfile.Batch) (*colfile.Vec, error)
 	// String renders the expression for plan display.
 	String() string
@@ -188,6 +190,12 @@ func (e Bin) Eval(b *colfile.Batch) (*colfile.Vec, error) {
 	rv, err := e.R.Eval(b)
 	if err != nil {
 		return nil, err
+	}
+	if e.Kind.IsLogical() {
+		lt, rt := logicalOperandType(e.L, lv), logicalOperandType(e.R, rv)
+		if lt != colfile.Bool || rt != colfile.Bool {
+			return nil, fmt.Errorf("exec: cannot compile %s over %s and %s", binNames[e.Kind], lt, rt)
+		}
 	}
 	n := b.NumRows()
 	outType, err := e.Type(b.Schema)
@@ -368,6 +376,9 @@ func (n Not) Eval(b *colfile.Batch) (*colfile.Vec, error) {
 	if err != nil {
 		return nil, err
 	}
+	if t := logicalOperandType(n.E, v); t != colfile.Bool {
+		return nil, fmt.Errorf("exec: NOT of %s", t)
+	}
 	out := colfile.NewVec(colfile.Bool)
 	for i := 0; i < v.Len(); i++ {
 		if v.IsNull(i) {
@@ -377,6 +388,22 @@ func (n Not) Eval(b *colfile.Batch) (*colfile.Vec, error) {
 		}
 	}
 	return out, nil
+}
+
+// isNullLiteral reports whether e is an untyped NULL literal.
+func isNullLiteral(e Expr) bool {
+	c, ok := e.(Const)
+	return ok && c.Val == nil
+}
+
+// logicalOperandType is the type NOT, AND and OR see for operand e, which
+// evaluated to v: an untyped NULL literal is a boolean NULL there, as in
+// Compile.
+func logicalOperandType(e Expr, v *colfile.Vec) colfile.DataType {
+	if isNullLiteral(e) {
+		return colfile.Bool
+	}
+	return v.Type
 }
 
 // String implements Expr.

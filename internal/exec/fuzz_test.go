@@ -17,7 +17,8 @@ import (
 
 // fuzzExprs is the catalog sampled by the fuzzer. Columns: 0=i (Int64),
 // 1=j (Int64), 2=f (Float64), 3=s (String), 4=b (Bool). Every kernel family
-// appears, including the faulting ones (div/mod by fuzzer-chosen values).
+// appears, including the faulting ones (div/mod by fuzzer-chosen values) and
+// the compile-time type errors of NOT/AND/OR over non-boolean operands.
 var fuzzExprs = []Expr{
 	Bin{Kind: OpEq, L: ColRef{Idx: 0}, R: ColRef{Idx: 1}},
 	Bin{Kind: OpLt, L: ColRef{Idx: 0}, R: ColRef{Idx: 2}}, // mixed int/float
@@ -38,6 +39,15 @@ var fuzzExprs = []Expr{
 	InList{E: ColRef{Idx: 0}, Vals: []any{int64(0), int64(1), int64(-1)}},
 	InList{E: ColRef{Idx: 3}, Vals: []any{"a", ""}, Negate: true},
 	Bin{Kind: OpLt, L: ColRef{Idx: 3}, R: ColRef{Idx: 0}}, // lazy type error
+	// NOT/AND/OR over an int column, a string column and an untyped NULL
+	// literal (a boolean NULL there): type errors, or NULL lanes.
+	Not{E: ColRef{Idx: 0}},
+	Not{E: ColRef{Idx: 3}},
+	Not{E: Const{Val: nil}},
+	Bin{Kind: OpAnd, L: ColRef{Idx: 4}, R: ColRef{Idx: 1}},
+	Bin{Kind: OpOr, L: ColRef{Idx: 3}, R: ColRef{Idx: 4}},
+	Bin{Kind: OpAnd, L: Bin{Kind: OpGt, L: ColRef{Idx: 0}, R: Const{Val: 0}}, R: Const{Val: nil}},
+	Bin{Kind: OpOr, L: Const{Val: nil}, R: ColRef{Idx: 4}},
 }
 
 var fuzzSchema = colfile.Schema{
@@ -52,6 +62,9 @@ func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(int64(3), int64(0), 1.5, "al%pha", true, uint8(0b10101), uint8(8), uint8(2), 5)
 	f.Add(int64(-7), int64(2), -0.0, "", false, uint8(0), uint8(9), uint8(0), 1)
 	f.Add(int64(42), int64(-1), 1e18, "a_b", true, uint8(0xff), uint8(18), uint8(3), 9)
+	for pick := range fuzzExprs { // one seed per catalog entry
+		f.Add(int64(5), int64(1), 2.5, "s", false, uint8(0b10011), uint8(pick), uint8(pick), 7)
+	}
 	f.Fuzz(func(t *testing.T, i, j int64, fv float64, s string, bv bool,
 		nulls uint8, exprPick uint8, selPick uint8, n int) {
 		if n < 1 || n > 64 {

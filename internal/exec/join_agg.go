@@ -487,49 +487,10 @@ func (h *HashAgg) Next() (*colfile.Batch, error) {
 	var order []string
 	var keyBuf []byte
 
-	// Compile group-by and argument expressions once for the whole drain;
-	// exotic expressions fall back to the scalar reference path.
-	in := h.In.Schema()
-	keyProgs, argProgs := h.GroupProgs, h.ArgProgs
-	fallback := false
-	if keyProgs == nil {
-		keyProgs = make([]*Prog, len(h.GroupBy))
-		for i, g := range h.GroupBy {
-			p, err := Compile(g, in)
-			if err != nil {
-				fallback = true
-				break
-			}
-			keyProgs[i] = p
-		}
-	}
-	if !fallback && argProgs == nil {
-		argProgs = make([]*Prog, len(h.Aggs))
-		for i, a := range h.Aggs {
-			if a.Arg == nil {
-				continue
-			}
-			p, err := Compile(a.Arg, in)
-			if err != nil {
-				fallback = true
-				break
-			}
-			argProgs[i] = p
-		}
-	}
+	// Group-by and argument expressions compile once, on the first batch,
+	// for the whole drain.
+	var keyProgs, argProgs []*Prog
 	var keyCtxs, argCtxs []*EvalCtx
-	if !fallback {
-		keyCtxs = make([]*EvalCtx, len(keyProgs))
-		for i, p := range keyProgs {
-			keyCtxs[i] = p.NewCtx()
-		}
-		argCtxs = make([]*EvalCtx, len(argProgs))
-		for i, p := range argProgs {
-			if p != nil {
-				argCtxs[i] = p.NewCtx()
-			}
-		}
-	}
 	keyVecs := make([]*colfile.Vec, len(h.GroupBy))
 	argVecs := make([]*colfile.Vec, len(h.Aggs))
 
@@ -544,35 +505,24 @@ func (h *HashAgg) Next() (*colfile.Batch, error) {
 		if h.Tel != nil {
 			h.Tel.RowsProcessed.Add(int64(b.NumRows()))
 		}
-		if fallback {
-			b = b.Materialize() // the scalar reference is defined over dense batches
-		}
-		for i := range h.GroupBy {
-			var v *colfile.Vec
-			if fallback {
-				v, err = h.GroupBy[i].Eval(b)
-			} else {
-				v, err = keyProgs[i].Run(keyCtxs[i], b)
-			}
-			if err != nil {
+		if keyCtxs == nil {
+			if keyProgs, argProgs, err = h.compile(); err != nil {
 				return nil, err
 			}
-			keyVecs[i] = v
+			keyCtxs, argCtxs = newCtxs(keyProgs), newCtxs(argProgs)
 		}
-		for i, a := range h.Aggs {
-			if a.Arg == nil {
-				continue
-			}
-			var v *colfile.Vec
-			if fallback {
-				v, err = a.Arg.Eval(b)
-			} else {
-				v, err = argProgs[i].Run(argCtxs[i], b)
-			}
-			if err != nil {
+		for i, p := range keyProgs {
+			if keyVecs[i], err = p.Run(keyCtxs[i], b); err != nil {
 				return nil, err
 			}
-			argVecs[i] = v
+		}
+		for i, p := range argProgs {
+			if p == nil {
+				continue // COUNT(*)
+			}
+			if argVecs[i], err = p.Run(argCtxs[i], b); err != nil {
+				return nil, err
+			}
 		}
 		for r := 0; r < b.NumRows(); r++ {
 			phys := b.RowIdx(r)
@@ -645,6 +595,40 @@ func (h *HashAgg) Next() (*colfile.Batch, error) {
 // appendPartial emits the mergeable state of one aggregate: its running
 // value, plus the non-NULL count for SUM/AVG (needed so the merge can tell
 // "all NULL" from zero).
+// compile returns the group-by and argument programs: the planner's when it
+// supplied them, else compiled against the input schema (nil entries for
+// COUNT(*)).
+func (h *HashAgg) compile() (keyProgs, argProgs []*Prog, err error) {
+	in := h.In.Schema()
+	keyProgs, argProgs = h.GroupProgs, h.ArgProgs
+	if keyProgs == nil {
+		if keyProgs, err = compileAll(h.GroupBy, in); err != nil {
+			return nil, nil, err
+		}
+	}
+	if argProgs == nil {
+		args := make([]Expr, len(h.Aggs))
+		for i, a := range h.Aggs {
+			args[i] = a.Arg
+		}
+		if argProgs, err = compileAll(args, in); err != nil {
+			return nil, nil, err
+		}
+	}
+	return keyProgs, argProgs, nil
+}
+
+// newCtxs returns one evaluation context per non-nil program.
+func newCtxs(progs []*Prog) []*EvalCtx {
+	ctxs := make([]*EvalCtx, len(progs))
+	for i, p := range progs {
+		if p != nil {
+			ctxs[i] = p.NewCtx()
+		}
+	}
+	return ctxs
+}
+
 func (h *HashAgg) appendPartial(row []any, k AggKind, st *aggState, i int) []any {
 	switch k {
 	case AggCount, AggCountStar:

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -194,8 +195,8 @@ func TestParallelProbeIdenticalAcrossDOP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batches, err := RunMorsels(morsels, dop, func(m Morsel) (Operator, error) {
-				s, err := NewMorselScan(m, nil, nil, nil)
+			batches, err := RunIndexed(context.Background(), len(morsels), dop, func(i int) (Operator, error) {
+				s, err := NewMorselScan(morsels[i], nil, nil, nil)
 				if err != nil {
 					return nil, err
 				}

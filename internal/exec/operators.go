@@ -375,11 +375,9 @@ type Filter struct {
 	// the filter compiles Pred itself on first use.
 	Prog *Prog
 
-	ctx      *EvalCtx
-	compiled bool
-	fallback bool
-	selBuf   []int
-	out      colfile.Batch
+	ctx    *EvalCtx
+	selBuf []int
+	out    colfile.Batch
 }
 
 // Schema implements Operator.
@@ -394,24 +392,13 @@ func (f *Filter) Next() (*colfile.Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		if !f.compiled {
-			f.compiled = true
+		if f.ctx == nil {
 			if f.Prog == nil {
-				prog, err := Compile(f.Pred, f.In.Schema())
-				if err != nil {
-					// Exotic Expr the compiler does not know: keep the
-					// scalar reference path (it reports the same type errors).
-					f.fallback = true
-				} else {
-					f.Prog = prog
+				if f.Prog, err = Compile(f.Pred, f.In.Schema()); err != nil {
+					return nil, err
 				}
 			}
-			if f.Prog != nil {
-				f.ctx = f.Prog.NewCtx()
-			}
-		}
-		if f.fallback {
-			return f.nextScalar(b)
+			f.ctx = f.Prog.NewCtx()
 		}
 		pv, err := f.Prog.Run(f.ctx, b)
 		if err != nil {
@@ -450,49 +437,11 @@ func (f *Filter) Next() (*colfile.Batch, error) {
 	}
 }
 
-// nextScalar is the pre-vectorization filter body, kept as the fallback for
-// predicates the compiler cannot lower.
-//
-//polaris:kernel the batch is Materialized first, so logical row i is physical lane i
-func (f *Filter) nextScalar(b *colfile.Batch) (*colfile.Batch, error) {
-	for {
-		b = b.Materialize() // the scalar reference is defined over dense batches
-		pv, err := f.Pred.Eval(b)
-		if err != nil {
-			return nil, err
-		}
-		if pv.Type != colfile.Bool {
-			return nil, fmt.Errorf("exec: predicate yields %s, not bool", pv.Type)
-		}
-		if f.Tel != nil {
-			f.Tel.RowsProcessed.Add(int64(b.NumRows()))
-		}
-		keep := make([]bool, b.NumRows())
-		kept := 0
-		for i := range keep {
-			if !pv.IsNull(i) && pv.Bools[i] {
-				keep[i] = true
-				kept++
-			}
-		}
-		if kept > 0 {
-			if kept == b.NumRows() {
-				return b, nil
-			}
-			return b.Filter(keep), nil
-		}
-		b, err = f.In.Next()
-		if err != nil || b == nil {
-			return nil, err
-		}
-	}
-}
-
 // Project computes output expressions batch-at-a-time through compiled
-// kernel programs (with the scalar reference as fallback for expressions the
-// compiler cannot lower). Output batches are always dense: column references
-// over dense input alias the input vector (as the scalar path did), computed
-// columns are bulk-copied out of the per-operator scratch.
+// kernel programs, compiled on the first batch unless the planner supplied
+// them. Output batches are always dense: column references over dense input
+// alias the input vector, computed columns are bulk-copied out of the
+// per-operator scratch.
 type Project struct {
 	In    Operator
 	Exprs []Expr
@@ -502,10 +451,8 @@ type Project struct {
 	// to Exprs; when nil the operator compiles on first use.
 	Progs []*Prog
 
-	schema   colfile.Schema
-	ctxs     []*EvalCtx
-	compiled bool
-	fallback bool
+	schema colfile.Schema
+	ctxs   []*EvalCtx
 }
 
 // Schema implements Operator.
@@ -540,41 +487,18 @@ func (p *Project) Next() (*colfile.Batch, error) {
 	if p.Tel != nil {
 		p.Tel.RowsProcessed.Add(int64(b.NumRows()))
 	}
-	if !p.compiled {
-		p.compiled = true
+	if p.ctxs == nil {
 		if p.Progs == nil {
-			progs := make([]*Prog, len(p.Exprs))
-			for i, e := range p.Exprs {
-				prog, err := Compile(e, p.In.Schema())
-				if err != nil {
-					p.fallback = true
-					break
-				}
-				progs[i] = prog
-			}
-			if !p.fallback {
-				p.Progs = progs
+			if p.Progs, err = compileAll(p.Exprs, p.In.Schema()); err != nil {
+				return nil, err
 			}
 		}
-		if p.Progs != nil {
-			p.ctxs = make([]*EvalCtx, len(p.Progs))
-			for i, prog := range p.Progs {
-				p.ctxs[i] = prog.NewCtx()
-			}
+		p.ctxs = make([]*EvalCtx, len(p.Progs))
+		for i, prog := range p.Progs {
+			p.ctxs[i] = prog.NewCtx()
 		}
 	}
 	out := &colfile.Batch{Schema: p.Schema(), Cols: make([]*colfile.Vec, len(p.Exprs))}
-	if p.fallback {
-		b = b.Materialize() // the scalar reference is defined over dense batches
-		for i, e := range p.Exprs {
-			v, err := e.Eval(b)
-			if err != nil {
-				return nil, err
-			}
-			out.Cols[i] = v
-		}
-		return out, nil
-	}
 	for i, prog := range p.Progs {
 		v, err := prog.Run(p.ctxs[i], b)
 		if err != nil {
@@ -585,7 +509,7 @@ func (p *Project) Next() (*colfile.Batch, error) {
 			out.Cols[i] = v.Take(b.Sel) // gather selected lanes densely
 		default:
 			if col, ok := prog.ColRef(); ok {
-				out.Cols[i] = b.Cols[col] // alias, as the scalar ColRef did
+				out.Cols[i] = b.Cols[col] // alias the input column
 				continue
 			}
 			// copy out of reusable scratch (broadcast constants may be

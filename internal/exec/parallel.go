@@ -14,7 +14,7 @@
 // by every probe worker, each worker probes its morsels in morsel order, and
 // within a morsel the output order is fixed by probe-row order then
 // build-row order (partitioned parallel builds insert rows in build-row
-// order, so match lists are identical to a serial build's). RunMorsels
+// order, so match lists are identical to a serial build's). RunIndexed
 // returns per-morsel outputs in morsel order and BatchList concatenates them
 // in that order, so join results are byte-identical across every degree of
 // parallelism — joins carry none of the float-summation caveat because the
@@ -183,13 +183,13 @@ func ForEachIndexed(ctx context.Context, n, dop int, work func(ctx context.Conte
 }
 
 // RunIndexed runs one operator per index over the ForEachIndexed pool and
-// collects each operator's output into results[i] — the generic indexed
-// fan-out behind RunMorsels and RunBatches. A (nil, nil) return from build
-// skips the index (its result stays nil); an index that produces no rows also
-// yields nil. Results are indexed by input position, never completion order,
-// which is what makes the downstream merges deterministic. Operator execution
-// observes ctx (and the pool's first-failure cancellation) between batches
-// via CollectCtx.
+// collects each operator's output into results[i]: one index per morsel, or
+// per pre-materialized morsel batch on the spilled-join path. A (nil, nil)
+// return from build skips the index (its result stays nil); an index that
+// produces no rows also yields nil. Results are indexed by input position,
+// never completion order, which is what makes the downstream merges
+// deterministic. Operator execution observes ctx (and the pool's
+// first-failure cancellation) between batches via CollectCtx.
 func RunIndexed(ctx context.Context, n, dop int, build func(i int) (Operator, error)) ([]*colfile.Batch, error) {
 	results := make([]*colfile.Batch, n)
 	err := ForEachIndexed(ctx, n, dop, func(ctx context.Context, i int) error {
@@ -213,34 +213,6 @@ func RunIndexed(ctx context.Context, n, dop int, build func(i int) (Operator, er
 		return nil, err
 	}
 	return results, nil
-}
-
-// RunMorsels fans the morsels out over a pool of dop workers. For each morsel
-// the builder constructs the per-worker plan fragment (typically
-// scan→filter→project or scan→filter→partial-agg); the fragment's output is
-// collected into one batch per morsel. Results are returned in morsel order,
-// which is what makes the downstream merge deterministic. A nil batch is
-// returned for morsels that produced no rows. Thin wrapper over RunIndexed.
-func RunMorsels(morsels []Morsel, dop int, build func(m Morsel) (Operator, error)) ([]*colfile.Batch, error) {
-	return RunIndexed(context.Background(), len(morsels), dop, func(i int) (Operator, error) {
-		return build(morsels[i])
-	})
-}
-
-// RunBatches fans pre-materialized per-morsel batches out over a pool of dop
-// workers, the batch-driven counterpart of RunMorsels: the planner's grace-
-// join spill path materializes the join output per morsel and then runs the
-// remaining plan fragment (filter, project, partial aggregation, sorted runs)
-// over those batches with the same morsel-indexed determinism. Nil input
-// batches yield nil outputs at the same index; results are returned in input
-// order regardless of completion order. Thin wrapper over RunIndexed.
-func RunBatches(batches []*colfile.Batch, dop int, build func(i int, b *colfile.Batch) (Operator, error)) ([]*colfile.Batch, error) {
-	return RunIndexed(context.Background(), len(batches), dop, func(i int) (Operator, error) {
-		if batches[i] == nil || batches[i].NumRows() == 0 {
-			return nil, nil
-		}
-		return build(i, batches[i])
-	})
 }
 
 // BatchList replays a sequence of pre-materialized batches in order: the

@@ -100,8 +100,8 @@ func TestRunMorselsProjectionIdenticalAcrossDOP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batches, err := RunMorsels(morsels, dop, func(m Morsel) (Operator, error) {
-			s, err := NewMorselScan(m, nil, nil, nil)
+		batches, err := RunIndexed(context.Background(), len(morsels), dop, func(i int) (Operator, error) {
+			s, err := NewMorselScan(morsels[i], nil, nil, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -168,8 +168,8 @@ func TestPartialMergeAggMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batches, err := RunMorsels(morsels, dop, func(m Morsel) (Operator, error) {
-			s, err := NewMorselScan(m, nil, nil, nil)
+		batches, err := RunIndexed(context.Background(), len(morsels), dop, func(i int) (Operator, error) {
+			s, err := NewMorselScan(morsels[i], nil, nil, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -248,7 +248,7 @@ func TestRunMorselsPropagatesErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
-	_, err = RunMorsels(morsels, 4, func(m Morsel) (Operator, error) {
+	_, err = RunIndexed(context.Background(), len(morsels), 4, func(int) (Operator, error) {
 		return nil, boom
 	})
 	if !errors.Is(err, boom) {
@@ -322,9 +322,9 @@ func TestForEachIndexedHonorsCallerContext(t *testing.T) {
 	}
 }
 
-// TestRunBatchesSkipsNilEntries pins the wrapper contract RunIndexed inherits
-// from the old RunBatches: nil and empty input batches yield nil outputs at
-// the same index without invoking the builder.
+// TestRunBatchesSkipsNilEntries pins the RunIndexed contract the planner's
+// batch-driven fan-outs rely on: a builder that returns (nil, nil) skips its
+// index, and an operator over an empty batch leaves a nil output too.
 func TestRunBatchesSkipsNilEntries(t *testing.T) {
 	schema := colfile.Schema{{Name: "x", Type: colfile.Int64}}
 	full := colfile.NewBatch(schema)
@@ -332,11 +332,11 @@ func TestRunBatchesSkipsNilEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := []*colfile.Batch{nil, colfile.NewBatch(schema), full}
-	outs, err := RunBatches(in, 4, func(i int, b *colfile.Batch) (Operator, error) {
-		if i != 2 {
-			return nil, fmt.Errorf("builder invoked for skippable index %d", i)
+	outs, err := RunIndexed(context.Background(), len(in), 4, func(i int) (Operator, error) {
+		if in[i] == nil {
+			return nil, nil
 		}
-		return NewBatchSource(b), nil
+		return NewBatchSource(in[i]), nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,8 @@
 // Expression compilation: an Expr tree is compiled once per plan into a Prog,
 // a flat sequence of typed kernel instructions over value slots, and executed
-// batch-at-a-time with per-worker scratch (EvalCtx). The scalar Expr.Eval
-// methods remain the normative row-at-a-time reference; Prog.Run must be
+// batch-at-a-time with per-worker scratch (EvalCtx). Programs are the only
+// evaluator operators use. The scalar Expr.Eval methods remain the normative
+// row-at-a-time reference and test oracle; Prog.Run must be
 // observationally identical to them (same values, same NULLs, same error
 // strings) — pinned by the golden equivalence suite and FuzzKernelEquivalence.
 // The contract is documented in docs/VECTORIZATION.md.
@@ -83,7 +84,7 @@ func (p *Prog) Cols() []int {
 
 // ColRef reports whether the program is a bare column reference, and which
 // input column it reads. Callers use it to alias the input vector directly
-// instead of copying (exactly what the scalar ColRef.Eval did).
+// instead of copying.
 func (p *Prog) ColRef() (int, bool) {
 	s := p.slots[p.out]
 	if s.kind == slotCol {
@@ -189,9 +190,9 @@ func fillConst(v *colfile.Vec, t colfile.DataType, val any, n int) {
 }
 
 // Compile lowers an Expr tree into a kernel program over the input schema.
-// Compilation fails for type errors the scalar reference also reports (same
-// messages) and for Expr implementations outside this package — operators
-// fall back to the scalar path in that case.
+// It is the only evaluator operators use: compilation fails for type errors
+// (with the scalar reference's messages) and for Expr implementations outside
+// this package, and the operator returns that error as the statement's.
 func Compile(e Expr, schema colfile.Schema) (*Prog, error) {
 	p := &Prog{}
 	out, err := p.compileNode(e, schema)
@@ -200,6 +201,23 @@ func Compile(e Expr, schema colfile.Schema) (*Prog, error) {
 	}
 	p.out = out
 	return p, nil
+}
+
+// compileAll compiles each expression against the schema. A nil Expr (the
+// argument of COUNT(*)) yields a nil Prog.
+func compileAll(exprs []Expr, schema colfile.Schema) ([]*Prog, error) {
+	progs := make([]*Prog, len(exprs))
+	for i, e := range exprs {
+		if e == nil {
+			continue
+		}
+		p, err := Compile(e, schema)
+		if err != nil {
+			return nil, err
+		}
+		progs[i] = p
+	}
+	return progs, nil
 }
 
 func (p *Prog) addSlot(s progSlot) int {
@@ -231,7 +249,7 @@ func (p *Prog) compileNode(e Expr, schema colfile.Schema) (int, error) {
 	case Bin:
 		return p.compileBin(t, schema)
 	case Not:
-		in, err := p.compileNode(t.E, schema)
+		in, err := p.compileLogicalOperand(t.E, schema)
 		if err != nil {
 			return 0, err
 		}
@@ -273,12 +291,25 @@ func (p *Prog) compileNode(e Expr, schema colfile.Schema) (int, error) {
 	}
 }
 
+// compileLogicalOperand compiles an operand of NOT, AND or OR, where an
+// untyped NULL literal is a boolean NULL (Const.Type calls it Int64).
+func (p *Prog) compileLogicalOperand(e Expr, schema colfile.Schema) (int, error) {
+	if isNullLiteral(e) {
+		return p.addSlot(progSlot{kind: slotConst, typ: colfile.Bool}), nil
+	}
+	return p.compileNode(e, schema)
+}
+
 func (p *Prog) compileBin(e Bin, schema colfile.Schema) (int, error) {
-	ls, err := p.compileNode(e.L, schema)
+	operand := p.compileNode
+	if e.Kind.IsLogical() {
+		operand = p.compileLogicalOperand
+	}
+	ls, err := operand(e.L, schema)
 	if err != nil {
 		return 0, err
 	}
-	rs, err := p.compileNode(e.R, schema)
+	rs, err := operand(e.R, schema)
 	if err != nil {
 		return 0, err
 	}

@@ -348,7 +348,7 @@ func (m *MergeRuns) Next() (*colfile.Batch, error) {
 			return nil, nil
 		}
 		m.pos = make([]int, len(m.runs))
-		// RunMorsels ships only batches, so the runs' keys are re-encoded
+		// RunIndexed ships only batches, so the runs' keys are re-encoded
 		// here — fanned over the shared ForEachIndexed pool, one unit per
 		// run, as the last parallel stage before the inherently serial
 		// merge. Encoding is infallible, so the error is statically nil.

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -396,8 +397,8 @@ func TestParallelSortViaMorselsMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batches, err := RunMorsels(morsels, dop, func(m Morsel) (Operator, error) {
-				s, err := NewMorselScan(m, nil, nil, nil)
+			batches, err := RunIndexed(context.Background(), len(morsels), dop, func(i int) (Operator, error) {
+				s, err := NewMorselScan(morsels[i], nil, nil, nil)
 				if err != nil {
 					return nil, err
 				}

@@ -95,6 +95,9 @@ func goldenExprs() map[string]Expr {
 	m["and"] = Bin{Kind: OpAnd, L: Bin{Kind: OpLt, L: col("i1"), R: col("i2")}, R: col("b1")}
 	m["or"] = Bin{Kind: OpOr, L: col("b1"), R: Bin{Kind: OpGt, L: col("f1"), R: Const{Val: 0.0}}}
 	m["not"] = Not{E: Bin{Kind: OpLe, L: col("i1"), R: Const{Val: 3}}}
+	m["not_null_lit"] = Not{E: Const{Val: nil}}
+	m["or_null_lit"] = Bin{Kind: OpOr, L: Bin{Kind: OpGt, L: col("i1"), R: Const{Val: 1}}, R: Const{Val: nil}}
+	m["and_null_lits"] = Bin{Kind: OpAnd, L: Const{Val: nil}, R: Const{Val: nil}}
 	m["is_null"] = IsNull{E: col("i2")}
 	m["is_not_null"] = IsNull{E: col("s1"), Negate: true}
 	m["is_null_of_expr"] = IsNull{E: Bin{Kind: OpAdd, L: col("i1"), R: col("i2")}}
@@ -117,6 +120,9 @@ func goldenExprs() map[string]Expr {
 	m["err_float_div_zero"] = Bin{Kind: OpDiv, L: col("f1"), R: Const{Val: 0.0}}
 	m["err_cmp_mismatch"] = Bin{Kind: OpLt, L: col("s1"), R: col("i1")}
 	m["err_float_mod"] = Bin{Kind: OpMod, L: col("f1"), R: col("f2")}
+	m["err_not_int"] = Not{E: col("i2")}
+	m["err_and_str"] = Bin{Kind: OpAnd, L: col("b1"), R: col("s1")}
+	m["err_or_null_int"] = Bin{Kind: OpOr, L: Const{Val: nil}, R: col("i1")}
 	return m
 }
 
@@ -355,7 +361,8 @@ func TestProgSharedAcrossWorkers(t *testing.T) {
 }
 
 // TestCompileErrorsMatchScalarTypeErrors pins compile-time error strings to
-// the messages the scalar reference produces for the same trees.
+// the messages the scalar reference produces for the same trees, over rows
+// and over an empty batch alike.
 func TestCompileErrorsMatchScalarTypeErrors(t *testing.T) {
 	cases := []struct {
 		e    Expr
@@ -363,6 +370,9 @@ func TestCompileErrorsMatchScalarTypeErrors(t *testing.T) {
 	}{
 		{Bin{Kind: OpSub, L: col("s1"), R: col("s2")}, "exec: cannot apply - to string and string"},
 		{Not{E: col("i1")}, "exec: NOT of int64"},
+		{Not{E: col("s2")}, "exec: NOT of string"},
+		{Bin{Kind: OpAnd, L: col("i1"), R: col("i1")}, "exec: cannot compile AND over int64 and int64"},
+		{Bin{Kind: OpOr, L: Const{Val: nil}, R: col("s2")}, "exec: cannot compile OR over bool and string"},
 		{Like{E: col("i1"), Pattern: "%"}, "exec: LIKE over int64"},
 		{ColRef{Idx: 99}, "exec: column 99 out of range"},
 	}
@@ -370,6 +380,11 @@ func TestCompileErrorsMatchScalarTypeErrors(t *testing.T) {
 		_, err := Compile(c.e, goldenSchema)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("Compile(%s) error = %v, want %q", c.e, err, c.want)
+		}
+		for _, n := range []int{0, 8} {
+			if _, err := c.e.Eval(goldenBatch(n)); err == nil || err.Error() != c.want {
+				t.Errorf("%s.Eval over %d rows: error = %v, want %q", c.e, n, err, c.want)
+			}
 		}
 	}
 }

@@ -43,6 +43,22 @@ func TestServerErrorMatrix(t *testing.T) {
 			wantErrSub: "no_such_table",
 		},
 		{
+			name:   "exec error NOT of int",
+			method: "POST", path: "/v1/query",
+			body:       `{"sql": "SELECT k FROM ok WHERE NOT k"}`,
+			wantStatus: http.StatusBadRequest,
+			wantCode:   "exec_error",
+			wantErrSub: "NOT of int64",
+		},
+		{
+			name:   "exec error DELETE AND of ints",
+			method: "POST", path: "/v1/query",
+			body:       `{"sql": "DELETE FROM ok WHERE k AND v"}`,
+			wantStatus: http.StatusBadRequest,
+			wantCode:   "exec_error",
+			wantErrSub: "cannot compile AND over int64 and int64",
+		},
+		{
 			name:   "invalid json body",
 			method: "POST", path: "/v1/query",
 			body:       `{"sql": `,

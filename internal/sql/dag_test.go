@@ -366,6 +366,30 @@ func TestDAGStatementCancel(t *testing.T) {
 	}
 }
 
+// TestMorselStatementCancel: with DistributedQueries off, the morsel
+// executor's worker pool observes ExecOpts.Ctx too, so a parallel SELECT
+// under an already-cancelled context returns context.Canceled and releases
+// its lease.
+func TestMorselStatementCancel(t *testing.T) {
+	env := newDagEnv(t, func(o *core.Options) { o.DistributedQueries = false })
+	seedDag(t, env.sess)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, q := range sweepQueries {
+		_, err := env.sess.ExecWith(q, ExecOpts{Ctx: ctx})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled in chain", q, err)
+		}
+	}
+	if got := env.eng.Fabric.LeasedSlots(); got != 0 {
+		t.Fatalf("%d fabric slots still leased after canceled statements", got)
+	}
+	if got := env.eng.Work.DagTasks.Load(); got != 0 {
+		t.Fatalf("DagTasks = %d, want 0: the statements must run on the morsel path", got)
+	}
+	mustExec(t, env.sess, sweepQueries[0]) // the session still works
+}
+
 // TestDAGCountersDeterministic: identical runs advance DagTasks/DagStages by
 // identical deltas (retry-invariant task accounting), with zero retries on a
 // clean run. A one-join query is exactly two stages.

@@ -681,8 +681,8 @@ type probeStage struct {
 // same batches). Morsel order, and with it the downstream determinism
 // contract, is preserved throughout.
 func runSpilledJoinStages(tx *core.Txn, ms *core.MorselScan, dop int, stages []probeStage, hint *exec.PruneHint, base *baseScanPlan) ([]*colfile.Batch, error) {
-	cur, err := exec.RunMorsels(ms.Morsels, dop, func(m exec.Morsel) (exec.Operator, error) {
-		return base.fragment(m, ms, hint)
+	cur, err := exec.RunIndexed(tx.Context(), len(ms.Morsels), dop, func(i int) (exec.Operator, error) {
+		return base.fragment(ms.Morsels[i], ms, hint)
 	})
 	if err != nil {
 		return nil, err
@@ -692,8 +692,12 @@ func runSpilledJoinStages(tx *core.Txn, ms *core.MorselScan, dop int, stages []p
 		if ps.src.Table != nil {
 			table, keys, bloom := ps.src.Table, ps.leftKeys, ps.bloom
 			pruned := &tx.Work().RuntimeFilterRows
-			cur, err = exec.RunBatches(cur, dop, func(_ int, b *colfile.Batch) (exec.Operator, error) {
-				return &exec.Probe{In: exec.NewBatchSource(b), Table: table, LeftKeys: keys, Tel: ms.Tel,
+			in := cur
+			cur, err = exec.RunIndexed(tx.Context(), len(in), dop, func(i int) (exec.Operator, error) {
+				if in[i] == nil {
+					return nil, nil // the morsel produced no rows
+				}
+				return &exec.Probe{In: exec.NewBatchSource(in[i]), Table: table, LeftKeys: keys, Tel: ms.Tel,
 					Bloom: bloom, Pruned: pruned}, nil
 			})
 		} else {
@@ -717,7 +721,7 @@ type baseScanPlan struct {
 	cols   []string
 	schema colfile.Schema // projected scan output schema
 	pred   exec.Expr      // pushed conjunction (nil = none)
-	prog   *exec.Prog     // compiled form (nil = Filter fallback)
+	prog   *exec.Prog     // compiled form (nil = the Filter compiles it)
 }
 
 // newBaseScanPlan resolves the physical plan's projection and pushdown
@@ -882,8 +886,9 @@ func runSelectParallel(tx *core.Txn, plan *physPlan, meta catalog.TableMeta, hin
 		}
 		// Compile the predicate into a kernel program once per statement; the
 		// immutable Prog is shared by every morsel worker's Filter instance
-		// (each owns its EvalCtx). A nil Prog makes the operator compile — or
-		// fall back to the scalar reference — itself.
+		// (each owns its EvalCtx). A nil Prog makes the operator compile
+		// itself on its first batch, where a compile error becomes the
+		// statement's error.
 		if p, cerr := exec.Compile(pred, sc.schema); cerr == nil {
 			predProg = p
 		}
@@ -917,8 +922,8 @@ func runSelectParallel(tx *core.Txn, plan *physPlan, meta catalog.TableMeta, hin
 			return op, nil
 		}
 		runFragments = func(suffix func(exec.Operator) (exec.Operator, error)) ([]*colfile.Batch, error) {
-			return exec.RunMorsels(ms.Morsels, dop, func(m exec.Morsel) (exec.Operator, error) {
-				op, err := fragment(m)
+			return exec.RunIndexed(tx.Context(), len(ms.Morsels), dop, func(i int) (exec.Operator, error) {
+				op, err := fragment(ms.Morsels[i])
 				if err != nil {
 					return nil, err
 				}
@@ -931,8 +936,11 @@ func runSelectParallel(tx *core.Txn, plan *physPlan, meta catalog.TableMeta, hin
 			return nil, true, err
 		}
 		runFragments = func(suffix func(exec.Operator) (exec.Operator, error)) ([]*colfile.Batch, error) {
-			return exec.RunBatches(joined, dop, func(_ int, b *colfile.Batch) (exec.Operator, error) {
-				var op exec.Operator = exec.NewBatchSource(b)
+			return exec.RunIndexed(tx.Context(), len(joined), dop, func(i int) (exec.Operator, error) {
+				if joined[i] == nil {
+					return nil, nil // the morsel produced no rows
+				}
+				var op exec.Operator = exec.NewBatchSource(joined[i])
 				if pred != nil {
 					op = &exec.Filter{In: op, Pred: pred, Prog: predProg, Tel: ms.Tel}
 				}
@@ -1057,7 +1065,8 @@ func runParallelOrderBy(tx *core.Txn, st *SelectStmt,
 // statement against the fragment input schema; the resulting Progs are
 // immutable and shared read-only by every morsel worker (each operator
 // instance owns its EvalCtx). Returns nil when any expression cannot be
-// lowered — operators then compile or fall back themselves.
+// lowered; the operators then compile on their first batch and return the
+// error, so a statement over an empty input still yields no rows.
 func compileProgs(exprs []exec.Expr, schema colfile.Schema) []*exec.Prog {
 	progs := make([]*exec.Prog, len(exprs))
 	for i, e := range exprs {
@@ -1071,8 +1080,8 @@ func compileProgs(exprs []exec.Expr, schema colfile.Schema) []*exec.Prog {
 }
 
 // compileAggProgs compiles the group-by and aggregate-argument expressions of
-// a parallel aggregation (nil entries for COUNT(*)); all-or-nothing per list
-// so HashAgg's fallback logic stays simple.
+// a parallel aggregation (nil entries for COUNT(*)); all-or-nothing, so
+// HashAgg either takes both lists or compiles both itself.
 func compileAggProgs(groupBy []exec.Expr, aggs []exec.AggSpec, schema colfile.Schema) (groupProgs, argProgs []*exec.Prog) {
 	groupProgs = compileProgs(groupBy, schema)
 	if groupProgs == nil {
@@ -1234,8 +1243,8 @@ func planAggregate(st *SelectStmt, op exec.Operator, sc *scope) (exec.Operator, 
 
 // compileHaving lowers a HAVING predicate into a kernel program against the
 // aggregate's output schema, once per statement — the same treatment WHERE
-// predicates get. Nil on failure: the Filter then compiles or falls back
-// itself.
+// predicates get. Nil on failure: the Filter then compiles on its first
+// batch and returns the error.
 func compileHaving(having exec.Expr, schema colfile.Schema) *exec.Prog {
 	p, err := exec.Compile(having, schema)
 	if err != nil {

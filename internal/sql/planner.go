@@ -570,7 +570,9 @@ func (p *physPlan) pushedFor(ref TableRef) []Expr {
 // scan operator: compiled into the scan legs themselves when possible (a
 // bare Scan, or the per-cell UnionAll the serial read path returns), else as
 // a Filter directly above — either way the rows never reach the rest of the
-// plan, so the split is invisible downstream.
+// plan, so the split is invisible downstream. A predicate that does not
+// compile goes to the Filter uncompiled, which returns the compile error on
+// its first batch.
 func applyPushdown(op exec.Operator, sc *scope, conjuncts []Expr) (exec.Operator, error) {
 	if len(conjuncts) == 0 {
 		return op, nil

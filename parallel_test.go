@@ -122,7 +122,7 @@ var joinHeavyQueries = []string{
 
 // TestParallelJoinProbeMatchesSerialOnTPCH pins join-heavy query results to
 // the serial executor's bytes at DOP 4 and 8 (the probe runs through
-// RunMorsels; the build tables are shared across workers).
+// RunIndexed; the build tables are shared across workers).
 func TestParallelJoinProbeMatchesSerialOnTPCH(t *testing.T) {
 	serial := openTPCH(t, 1)
 	defer serial.Close()
